@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint bench bench-smoke bench-vm verify-table journal-smoke corpus-smoke checkpoint-smoke staticreach-smoke serve-smoke vm-smoke spec-smoke
+.PHONY: all build test race vet lint bench bench-smoke locbench-test verify-table journal-smoke corpus-smoke checkpoint-smoke staticreach-smoke serve-smoke spec-smoke
 
 all: build test lint
 
@@ -37,19 +37,11 @@ bench:
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
-# Tree-vs-VM backend benchmark trajectory point (docs/VM.md): run the
-# backend comparison suite and record per-workload ns/op plus tree/vm
-# speedups in BENCH_VM.json via cmd/benchvm. Two -bench invocations
-# because the benchmark name regex is matched per slash-separated
-# element, so the Locate sub-case filter cannot be combined with the
-# top-level family alternation.
-bench-vm:
-	( $(GO) test -run=NONE \
-		-bench='BenchmarkBackend(Interp|VerifyEngine|CheckpointReplay)' \
-		-benchtime=3x . && \
-	  $(GO) test -run=NONE \
-		-bench='BenchmarkBackendLocate/grepsim/V4-F2' \
-		-benchtime=3x . ) | $(GO) run ./cmd/benchvm -o BENCH_VM.json
+# locbench (the localization benchmark) is a separate module, so the
+# root `go test ./...` never builds it; vet and run its short-mode
+# tests on their own.
+locbench-test:
+	cd locbench && $(GO) vet ./... && $(GO) test ./...
 
 # Sequential vs parallel vs cached verification scheduling table.
 verify-table:
@@ -113,20 +105,6 @@ staticreach-smoke:
 	cmp /tmp/eol-sr-on.stripped /tmp/eol-sr-off.stripped
 	grep -q '"static_reach_skips": [1-9]' /tmp/eol-sr-on.json
 	$(GO) run ./cmd/journalcheck /tmp/eol-sr-on.jsonl
-
-# VM smoke lane: run the long-trace corpus under both execution
-# backends (docs/VM.md). The JSON reports and the run journals must be
-# byte-identical — the backend byte-identity contract — and the journal
-# must validate.
-vm-smoke:
-	$(GO) build -o /tmp/eolcorpus-vm ./cmd/eolcorpus
-	/tmp/eolcorpus-vm -backend tree -o /tmp/eol-vm-tree.json \
-		-trace /tmp/eol-vm-tree.jsonl testdata/corpus/checkpoint.json
-	/tmp/eolcorpus-vm -backend vm -o /tmp/eol-vm-vm.json \
-		-trace /tmp/eol-vm-vm.jsonl testdata/corpus/checkpoint.json
-	cmp /tmp/eol-vm-tree.json /tmp/eol-vm-vm.json
-	cmp /tmp/eol-vm-tree.jsonl /tmp/eol-vm-vm.jsonl
-	$(GO) run ./cmd/journalcheck /tmp/eol-vm-vm.jsonl
 
 # Speculation smoke lane: localize the long-trace corpus with
 # speculative verification off (default) and on (-speculate). Speculation

@@ -20,7 +20,7 @@ import (
 	"eol/internal/confidence"
 	"eol/internal/core"
 	"eol/internal/critpred"
-	"eol/internal/ddg"
+	"eol/internal/depgraph"
 	"eol/internal/harness"
 	"eol/internal/implicit"
 	"eol/internal/interp"
@@ -31,6 +31,7 @@ import (
 	"eol/internal/staticdep"
 	"eol/internal/trace"
 	"eol/internal/verifyengine"
+	"eol/internal/vm"
 )
 
 // readFile loads a benchmark fixture or fails the benchmark.
@@ -94,7 +95,7 @@ func BenchmarkTable2Slicing(b *testing.B) {
 
 		b.Run(name+"/DS", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				g := ddg.New(p.Run.Trace)
+				g := depgraph.New(p.Run.Trace)
 				if slicing.Dynamic(g, seed).Len() == 0 {
 					b.Fatal("empty slice")
 				}
@@ -103,7 +104,7 @@ func BenchmarkTable2Slicing(b *testing.B) {
 		b.Run(name+"/RS", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cx := slicing.NewContext(p.Faulty, p.Run.Trace)
-				g := ddg.New(p.Run.Trace)
+				g := depgraph.New(p.Run.Trace)
 				if cx.Relevant(g, seed).Len() == 0 {
 					b.Fatal("empty slice")
 				}
@@ -116,7 +117,7 @@ func BenchmarkTable2Slicing(b *testing.B) {
 			}
 			wrong := *p.Run.Trace.OutputAt(seq)
 			for i := 0; i < b.N; i++ {
-				g := ddg.New(p.Run.Trace)
+				g := depgraph.New(p.Run.Trace)
 				an := confidence.New(p.Faulty, g, p.Profile, correct, wrong)
 				an.Compute()
 				_ = an.FaultCandidates()
@@ -154,7 +155,7 @@ func BenchmarkTable4Performance(b *testing.B) {
 
 		b.Run(name+"/Plain", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r := interp.Run(p.Faulty, interp.Options{Input: in})
+				r := vm.Backend.Run(p.Faulty, interp.Options{Input: in})
 				if r.Err != nil {
 					b.Fatal(r.Err)
 				}
@@ -162,7 +163,7 @@ func BenchmarkTable4Performance(b *testing.B) {
 		})
 		b.Run(name+"/Graph", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r := interp.Run(p.Faulty, interp.Options{Input: in, BuildTrace: true})
+				r := vm.Backend.Run(p.Faulty, interp.Options{Input: in, BuildTrace: true})
 				if r.Err != nil {
 					b.Fatal(r.Err)
 				}
@@ -222,10 +223,10 @@ func verifyWorkload(b *testing.B, p *bench.Prepared) (func() *implicit.Verifier,
 	}
 
 	cx := slicing.NewContext(p.Faulty, tr)
-	g := ddg.New(tr)
+	g := depgraph.New(tr)
 	slice := slicing.Dynamic(g, slicing.FailureSeeds(tr, seq))
 	var reqs []implicit.Request
-	for _, u := range ddg.SortedEntries(slice) {
+	for _, u := range slice.Ordered() {
 		for _, pd := range cx.PotentialDeps(u) {
 			reqs = append(reqs, implicit.Request{
 				Pred: pd.Pred, Use: u, UseSym: pd.UseSym, UseElem: pd.UseElem,
@@ -320,8 +321,8 @@ func BenchmarkVerifyEngineLocate(b *testing.B) {
 func BenchmarkCheckpointReplay(b *testing.B) {
 	p := prep(b, "grepsim/V4-F2")
 	in := bench.ScaledGrepInput(400)
-	st := interp.NewCheckpointStore(0)
-	run := interp.Run(p.Faulty, interp.Options{Input: in, BuildTrace: true, Checkpoints: st})
+	st := vm.Backend.NewCheckpoints(0)
+	run := vm.Backend.Run(p.Faulty, interp.Options{Input: in, BuildTrace: true, Checkpoints: st})
 	if run.Err != nil {
 		b.Fatal(run.Err)
 	}
@@ -339,10 +340,18 @@ func BenchmarkCheckpointReplay(b *testing.B) {
 		b.Fatal("no late predicates in the scaled trace")
 	}
 
+	switchOpts := func(pred trace.Instance) interp.Options {
+		return interp.Options{
+			Input:      in,
+			Switch:     &interp.SwitchPlan{Stmt: pred.Stmt, Occ: pred.Occ},
+			StepBudget: budget,
+			BuildTrace: true,
+		}
+	}
 	b.Run("full", func(b *testing.B) {
 		var steps int
 		for i := 0; i < b.N; i++ {
-			r := implicit.RunSwitchedContext(nil, p.Faulty, in, preds[i%len(preds)], budget)
+			r := vm.Backend.Run(p.Faulty, switchOpts(preds[i%len(preds)]))
 			if r.Err != nil {
 				b.Fatal(r.Err)
 			}
@@ -353,12 +362,7 @@ func BenchmarkCheckpointReplay(b *testing.B) {
 	b.Run("fork", func(b *testing.B) {
 		var suffix int
 		for i := 0; i < b.N; i++ {
-			pred := preds[i%len(preds)]
-			r := interp.RunSwitchedFromStore(st, tr, p.Faulty, interp.Options{
-				Input:      in,
-				Switch:     &interp.SwitchPlan{Stmt: pred.Stmt, Occ: pred.Occ},
-				StepBudget: budget,
-			})
+			r := vm.Backend.RunSwitchedFrom(st, tr, p.Faulty, switchOpts(preds[i%len(preds)]))
 			if r == nil {
 				b.Fatal("no checkpoint before a late predicate")
 			}
@@ -383,14 +387,14 @@ func BenchmarkRepruneIncremental(b *testing.B) {
 		p := prep(b, name)
 		for _, mode := range []struct {
 			label string
-			noInc bool
-		}{{"full", true}, {"inc", false}} {
+			inc   core.FeatureMode
+		}{{"full", core.FeatureOff}, {"inc", core.FeatureDefault}} {
 			b.Run(fmt.Sprintf("%s/%s", name, mode.label), func(b *testing.B) {
 				var reeval int64
 				var frac float64
 				for i := 0; i < b.N; i++ {
 					spec := p.Spec()
-					spec.NoIncremental = mode.noInc
+					spec.Features.IncrementalReprune = mode.inc
 					rep, err := core.Locate(spec)
 					if err != nil {
 						b.Fatal(err)
@@ -502,10 +506,10 @@ func BenchmarkAblationRSConfidence(b *testing.B) {
 	wrong := *p.Run.Trace.OutputAt(seq)
 	for i := 0; i < b.N; i++ {
 		cx := slicing.NewContext(p.Faulty, p.Run.Trace)
-		g := ddg.New(p.Run.Trace)
+		g := depgraph.New(p.Run.Trace)
 		cx.Relevant(g, slicing.FailureSeeds(p.Run.Trace, seq))
 		an := confidence.New(p.Faulty, g, p.Profile, correct, wrong)
-		an.Kinds |= ddg.Potential
+		an.Kinds |= depgraph.Potential
 		an.Naive = true
 		an.Compute()
 	}
@@ -570,7 +574,7 @@ func BenchmarkAlignment(b *testing.B) {
 		b.Skip("no potential dependence")
 	}
 	pe := p.Run.Trace.At(pds[0].Pred)
-	sw := interp.Run(p.Faulty, interp.Options{
+	sw := vm.Backend.Run(p.Faulty, interp.Options{
 		Input: p.Case.FailingInput, BuildTrace: true,
 		Switch: &interp.SwitchPlan{Stmt: pe.Inst.Stmt, Occ: pe.Inst.Occ},
 	})
@@ -630,7 +634,7 @@ func main() {
 		b.Run(mode.name, func(b *testing.B) {
 			steps := 0
 			for i := 0; i < b.N; i++ {
-				r := interp.Run(c, interp.Options{Input: input, BuildTrace: mode.trace})
+				r := vm.Backend.Run(c, interp.Options{Input: input, BuildTrace: mode.trace})
 				if r.Err != nil {
 					b.Fatal(r.Err)
 				}
@@ -649,11 +653,11 @@ func BenchmarkScaling(b *testing.B) {
 	p := prep(b, "grepsim/V4-F2")
 	for _, lines := range []int{20, 100, 400} {
 		in := bench.ScaledGrepInput(lines)
-		run := interp.Run(p.Faulty, interp.Options{Input: in, BuildTrace: true})
+		run := vm.Backend.Run(p.Faulty, interp.Options{Input: in, BuildTrace: true})
 		if run.Err != nil {
 			b.Fatal(run.Err)
 		}
-		exp := interp.Run(p.Correct, interp.Options{Input: in})
+		exp := vm.Backend.Run(p.Correct, interp.Options{Input: in})
 		seq, _, ok := slicing.FirstWrongOutput(run.OutputValues(), exp.OutputValues())
 		if !ok {
 			b.Fatalf("scaled input (%d lines) did not expose the fault", lines)
@@ -662,7 +666,7 @@ func BenchmarkScaling(b *testing.B) {
 
 		b.Run(fmt.Sprintf("lines=%d/Graph", lines), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r := interp.Run(p.Faulty, interp.Options{Input: in, BuildTrace: true})
+				r := vm.Backend.Run(p.Faulty, interp.Options{Input: in, BuildTrace: true})
 				if r.Err != nil {
 					b.Fatal(r.Err)
 				}
@@ -671,14 +675,14 @@ func BenchmarkScaling(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("lines=%d/DS", lines), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				g := ddg.New(run.Trace)
+				g := depgraph.New(run.Trace)
 				slicing.Dynamic(g, seed)
 			}
 		})
 		b.Run(fmt.Sprintf("lines=%d/RS", lines), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cx := slicing.NewContext(p.Faulty, run.Trace)
-				g := ddg.New(run.Trace)
+				g := depgraph.New(run.Trace)
 				cx.Relevant(g, seed)
 			}
 		})
@@ -704,7 +708,7 @@ func main() {
 		b.Fatal(err)
 	}
 	input := []int64{200}
-	run := interp.Run(c, interp.Options{Input: input, BuildTrace: true})
+	run := vm.Backend.Run(c, interp.Options{Input: input, BuildTrace: true})
 	if run.Err != nil {
 		b.Fatal(run.Err)
 	}
@@ -755,7 +759,7 @@ func BenchmarkStaticReach(b *testing.B) {
 			b.Fatal(err)
 		}
 		input := []int64{5}
-		corRun := interp.Run(fixed, interp.Options{Input: input, BuildTrace: true})
+		corRun := vm.Backend.Run(fixed, interp.Options{Input: input, BuildTrace: true})
 		if corRun.Err != nil {
 			b.Fatal(corRun.Err)
 		}
@@ -772,7 +776,7 @@ func BenchmarkStaticReach(b *testing.B) {
 		// it once here too so the benchmark isolates the verification
 		// saving rather than graph-construction cost.
 		sd := staticdep.New(faulty, nil)
-		spec := func(noReach, noReplay bool) *core.Spec {
+		spec := func(reach, replay core.FeatureMode) *core.Spec {
 			return &core.Spec{
 				Program:         faulty,
 				Input:           input,
@@ -780,22 +784,22 @@ func BenchmarkStaticReach(b *testing.B) {
 				Oracle:          &oracle.StateOracle{Correct: corRun.Trace},
 				RootCause:       root,
 				CrossFunctionPD: sub.crossFn,
-				NoStaticReach:   noReach,
-				NoStaticSkip:    noReplay,
+				Features:        core.Features{StaticReach: reach, StaticSkip: replay},
 				StaticDeps:      sd,
 			}
 		}
 		// reach: both pre-run filters, SPDG consulted first (the default);
 		// replay: reach filter off, trace-replay filter only;
 		// none: every candidate pays a switched re-execution.
+		on, off := core.FeatureDefault, core.FeatureOff
 		for _, mode := range []struct {
-			name              string
-			noReach, noReplay bool
-		}{{"reach", false, false}, {"replay", true, false}, {"none", true, true}} {
+			name          string
+			reach, replay core.FeatureMode
+		}{{"reach", on, on}, {"replay", off, on}, {"none", off, off}} {
 			b.Run(sub.name+"/"+mode.name, func(b *testing.B) {
 				var runs, skips int64
 				for i := 0; i < b.N; i++ {
-					rep, err := core.Locate(spec(mode.noReach, mode.noReplay))
+					rep, err := core.Locate(spec(mode.reach, mode.replay))
 					if err != nil {
 						b.Fatal(err)
 					}

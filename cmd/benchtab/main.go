@@ -53,7 +53,6 @@ func main() {
 		Workers:     engFlags.Workers,
 		Cache:       engFlags.Cache,
 		Checkpoints: engFlags.Checkpoints,
-		Backend:     engFlags.Backend,
 		Observer:    observer,
 		Ctx:         ctx,
 	}

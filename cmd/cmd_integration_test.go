@@ -185,31 +185,6 @@ func TestDisasmGolden(t *testing.T) {
 	}
 }
 
-// TestSlicerBackends runs the same slicing twice, once per execution
-// backend, and requires byte-identical output — the CLI-level
-// differential check.
-func TestSlicerBackends(t *testing.T) {
-	args := func(b string) []string {
-		return []string{"-backend", b,
-			"-correct", "testdata/fig1_fixed.mc", "-input", "1", "testdata/fig1_faulty.mc"}
-	}
-	vmOut, err := runTool(t, "slicer", args("vm")...)
-	if err != nil {
-		t.Fatalf("vm: %v\n%s", err, vmOut)
-	}
-	treeOut, err := runTool(t, "slicer", args("tree")...)
-	if err != nil {
-		t.Fatalf("tree: %v\n%s", err, treeOut)
-	}
-	if vmOut != treeOut {
-		t.Errorf("backends diverge:\nvm:\n%s\ntree:\n%s", vmOut, treeOut)
-	}
-	if out, err := runTool(t, "slicer", "-backend", "quantum",
-		"-correct", "testdata/fig1_fixed.mc", "-input", "1", "testdata/fig1_faulty.mc"); err == nil {
-		t.Errorf("unknown backend accepted:\n%s", out)
-	}
-}
-
 // TestSlicerEngineStats checks that -engine reports both the static
 // SPDG shape (nodes, per-kind edges, cones) and the per-slice dynamic
 // engine line.

@@ -27,6 +27,7 @@ import (
 	"eol/internal/critpred"
 	"eol/internal/interp"
 	"eol/internal/lang/ast"
+	"eol/internal/vm"
 )
 
 func main() {
@@ -48,7 +49,7 @@ func main() {
 	faulty := mustCompile(flag.Arg(0))
 	correct := mustCompile(*correctFlag)
 
-	expRun := interp.Run(correct, interp.Options{Input: input})
+	expRun := vm.Backend.Run(correct, interp.Options{Input: input})
 	if expRun.Err != nil {
 		cliutil.Fatalf("critpred: correct run: %v", expRun.Err)
 	}

@@ -76,7 +76,6 @@ func main() {
 		NoSharedCache: *privateFlag,
 		Checkpoints:   engFlags.Checkpoints,
 		Features:      engFlags.Features(),
-		Backend:       engFlags.Backend,
 		Observer:      observer,
 	})
 	if cerr := closeObs(); cerr != nil {

@@ -48,6 +48,22 @@ import (
 	"eol/internal/serve"
 )
 
+// Connection timeouts. A client that opens a connection and never
+// finishes its request headers is dropped after readHeaderTimeout, and
+// an unused keep-alive connection after idleTimeout, so neither can pin
+// a goroutine and a socket forever. Request and response bodies are not
+// bounded here: a localization's duration is governed by -max-deadline
+// and the subjects' own deadlines.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps h in an http.Server with the connection timeouts.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func main() {
 	addrFlag := flag.String("addr", "127.0.0.1:8080", "listen `address` (use :0 for an ephemeral port)")
 	addrFileFlag := flag.String("addr-file", "", "write the bound listen address to this `file`")
@@ -72,7 +88,6 @@ func main() {
 			CacheSize:     engFlags.Cache,
 			Checkpoints:   engFlags.Checkpoints,
 			Features:      engFlags.Features(),
-			Backend:       engFlags.Backend,
 		},
 		MaxDeadline: *maxDeadlineFlag,
 		Sessions:    *sessionsFlag,
@@ -97,7 +112,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	hs := &http.Server{Handler: srv}
+	hs := newHTTPServer(srv)
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 

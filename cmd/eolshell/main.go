@@ -23,9 +23,8 @@
 //
 // The [e]xpand verifications go through the verification engine, so the
 // unified -workers / -cache flags size its pool and switched-run cache,
-// and -trace / -progress observe the session like any eoloc run. The
-// -backend flag selects the execution engine (vm or tree, docs/VM.md),
-// and -disasm prints the faulty program's compiled bytecode with
+// and -trace / -progress observe the session like any eoloc run.
+// -disasm prints the faulty program's compiled bytecode with
 // source-statement annotations instead of starting a session.
 package main
 
@@ -36,10 +35,9 @@ import (
 	"os"
 	"strings"
 
-	"eol/internal/backend"
 	"eol/internal/cliutil"
 	"eol/internal/confidence"
-	"eol/internal/ddg"
+	"eol/internal/depgraph"
 	"eol/internal/implicit"
 	"eol/internal/interp"
 	"eol/internal/lang/ast"
@@ -82,11 +80,6 @@ func main() {
 		cliutil.Usagef("eolshell: %v", err)
 	}
 
-	bk, err := backend.Lookup(engFlags.Backend)
-	if err != nil {
-		cliutil.Usagef("eolshell: %v", err)
-	}
-
 	var expected []int64
 	switch {
 	case *expectedFlag != "":
@@ -103,7 +96,7 @@ func main() {
 		if err != nil {
 			cliutil.Fatalf("eolshell: %v", err)
 		}
-		r := bk.Run(correct, interp.Options{Input: input})
+		r := vm.Backend.Run(correct, interp.Options{Input: input})
 		if r.Err != nil {
 			cliutil.Fatalf("eolshell: correct run: %v", r.Err)
 		}
@@ -116,7 +109,7 @@ func main() {
 	if err != nil {
 		cliutil.Fatalf("eolshell: %v", err)
 	}
-	sh, err := newShell(faulty, bk, input, expected, *engFlags, obs.NewRecorder(observer))
+	sh, err := newShell(faulty, input, expected, *engFlags, obs.NewRecorder(observer))
 	if err != nil {
 		cliutil.Fatalf("eolshell: %v", err)
 	}
@@ -140,9 +133,9 @@ type shell struct {
 	expanded map[int]bool
 }
 
-func newShell(c *interp.Compiled, bk interp.Backend, input, expected []int64, ef cliutil.EngineFlags, rec *obs.Recorder) (*shell, error) {
+func newShell(c *interp.Compiled, input, expected []int64, ef cliutil.EngineFlags, rec *obs.Recorder) (*shell, error) {
 	rec.Begin("failing_run")
-	run := bk.Run(c, interp.Options{Input: input, BuildTrace: true, Rec: rec})
+	run := vm.Backend.Run(c, interp.Options{Input: input, BuildTrace: true, Rec: rec})
 	rec.End("failing_run", int64(run.Steps))
 	if run.Err != nil {
 		return nil, fmt.Errorf("failing run aborted: %w", run.Err)
@@ -160,11 +153,11 @@ func newShell(c *interp.Compiled, bk interp.Backend, input, expected []int64, ef
 	for i := 0; i < seq; i++ {
 		correct = append(correct, *tr.OutputAt(i))
 	}
-	g := ddg.New(tr)
+	g := depgraph.New(tr)
 	an := confidence.New(c, g, nil, correct, wrong)
 	an.Incremental = true
 	an.Compute()
-	ver := &implicit.Verifier{C: c, Input: input, Orig: tr, WrongOut: wrong, Backend: bk, Rec: rec}
+	ver := &implicit.Verifier{C: c, Input: input, Orig: tr, WrongOut: wrong, Rec: rec}
 	if seq < len(expected) {
 		ver.Vexp, ver.HasVexp = expected[seq], true
 	}
@@ -244,10 +237,10 @@ func (sh *shell) expand() {
 			fmt.Printf("  VerifyDep(%v -> %v) = %v\n", pi, sh.tr.At(u).Inst, verdict)
 			switch verdict {
 			case implicit.StrongID:
-				sh.an.AddEdges(confidence.Arc{From: u, To: pd.Pred, Kind: ddg.StrongImplicit})
+				sh.an.AddEdges(confidence.Arc{From: u, To: pd.Pred, Kind: depgraph.StrongImplicit})
 				added++
 			case implicit.ID:
-				sh.an.AddEdges(confidence.Arc{From: u, To: pd.Pred, Kind: ddg.Implicit})
+				sh.an.AddEdges(confidence.Arc{From: u, To: pd.Pred, Kind: depgraph.Implicit})
 				added++
 			}
 		}

@@ -36,6 +36,7 @@ import (
 	"eol/internal/interp"
 	"eol/internal/lang/ast"
 	"eol/internal/trace"
+	"eol/internal/vm"
 )
 
 func main() {
@@ -121,7 +122,7 @@ func main() {
 		opts.BuildTrace = true
 	}
 
-	r := interp.Run(c, opts)
+	r := vm.Backend.Run(c, opts)
 	fmt.Print(r.Rendered)
 	if opts.Switch != nil && !r.SwitchApplied {
 		fmt.Printf("(switch %v never reached)\n", opts.Switch)

@@ -43,11 +43,10 @@ import (
 	"io"
 
 	"eol/internal/align"
-	"eol/internal/backend"
 	"eol/internal/confidence"
 	"eol/internal/core"
 	"eol/internal/corpus"
-	"eol/internal/ddg"
+	"eol/internal/depgraph"
 	"eol/internal/implicit"
 	"eol/internal/interp"
 	"eol/internal/lang/ast"
@@ -56,6 +55,7 @@ import (
 	"eol/internal/serve"
 	"eol/internal/slicing"
 	"eol/internal/trace"
+	"eol/internal/vm"
 )
 
 // Instance identifies a statement instance: the Occ-th execution of the
@@ -136,7 +136,7 @@ func (p *Program) Run(input []int64) (*Execution, error) {
 // with an error matching ErrCanceled or ErrDeadline when the context
 // dies mid-execution.
 func (p *Program) RunContext(ctx context.Context, input []int64) (*Execution, error) {
-	res := backend.Default().Run(p.c, interp.Options{Input: input, BuildTrace: true, Ctx: ctx})
+	res := vm.Backend.Run(p.c, interp.Options{Input: input, BuildTrace: true, Ctx: ctx})
 	if res.Err != nil {
 		return nil, res.Err
 	}
@@ -150,7 +150,7 @@ func (p *Program) RunPlain(input []int64) (*Execution, error) {
 
 // RunPlainContext is RunPlain bounded by ctx (nil = background).
 func (p *Program) RunPlainContext(ctx context.Context, input []int64) (*Execution, error) {
-	res := backend.Default().Run(p.c, interp.Options{Input: input, Ctx: ctx})
+	res := vm.Backend.Run(p.c, interp.Options{Input: input, Ctx: ctx})
 	if res.Err != nil {
 		return nil, res.Err
 	}
@@ -165,7 +165,7 @@ func (p *Program) RunSwitched(input []int64, pred Instance) (*Execution, error) 
 
 // RunSwitchedContext is RunSwitched bounded by ctx (nil = background).
 func (p *Program) RunSwitchedContext(ctx context.Context, input []int64, pred Instance) (*Execution, error) {
-	res := backend.Default().Run(p.c, interp.Options{
+	res := vm.Backend.Run(p.c, interp.Options{
 		Input: input, BuildTrace: true, Ctx: ctx,
 		Switch: &interp.SwitchPlan{Stmt: pred.Stmt, Occ: pred.Occ},
 	})
@@ -265,47 +265,20 @@ type Settings struct {
 	// VerifyCacheSize bounds the switched-run cache (0 = default,
 	// negative = disabled).
 	VerifyCacheSize int
-	// NoStaticSkip disables the static skip-filter.
-	NoStaticSkip bool
-	// NoStaticReach disables the pre-execution static reach filter over
-	// the interprocedural dependence graph (see docs/STATICDEP.md).
-	NoStaticReach bool
 	// Checkpoints bounds the execution snapshots captured during the
 	// failing run for checkpointed switched replay (0 = default bound,
-	// negative = disabled; see WithCheckpoints / WithoutCheckpoints and
-	// docs/CHECKPOINT.md). The diagnosis, journal and candidate ranking
-	// are byte-identical on or off; only the Stats checkpoint counters
-	// and wall-clock time differ.
+	// negative = disabled; see WithCheckpoints and docs/CHECKPOINT.md).
+	// The diagnosis, journal and candidate ranking are byte-identical on
+	// or off; only the Stats checkpoint counters and wall-clock time
+	// differ.
 	Checkpoints int
-	// NoIncremental disables incremental re-pruning of the expanded
-	// graph (Algorithm 2's re-prune step recomputes confidence from
-	// scratch each iteration instead of re-propagating the dirty cone).
-	// The diagnosis, journal and candidate ranking are byte-identical
-	// either way; only Stats.Repropagated/DirtyFraction and wall-clock
-	// time differ.
-	NoIncremental bool
-	// Features selects the optional engine features as explicit
-	// tri-states — the preferred, positive spelling of the knobs above.
-	// Each field left at FeatureDefault defers to the corresponding
-	// legacy knob:
-	//
-	//	Features.StaticSkip         ↔ NoStaticSkip
-	//	Features.StaticReach        ↔ NoStaticReach
-	//	Features.IncrementalReprune ↔ NoIncremental
-	//	Features.Checkpoints        ↔ Checkpoints < 0 (the sign; the
-	//	                              magnitude keeps selecting the count)
-	//	Features.Speculation        — new; no legacy knob, off by default
-	//
-	// A FeatureOn/FeatureOff field overrides its legacy knob. See
-	// WithFeatures, WithSpeculation and docs/SPECULATION.md.
+	// Features selects the optional engine features (static skip and
+	// reach filters, incremental re-prune, checkpoints, speculation) as
+	// explicit tri-states; it is the only on/off surface for them.
+	// Features.Checkpoints left at FeatureDefault follows the sign of
+	// Checkpoints. See WithFeatures, WithSpeculation and
+	// docs/SPECULATION.md.
 	Features Features
-	// Backend names the execution backend for the failing run and every
-	// re-execution: "vm" (the bytecode VM, the default), "tree" (the
-	// tree-walking reference interpreter), or "" for the default.
-	// Backends are byte-identical — same diagnosis, counters and journal
-	// — so this only changes wall-clock time; see WithBackend and
-	// docs/VM.md.
-	Backend string
 	// Observer receives the run's deterministic event stream (see
 	// WithObserver and docs/OBSERVABILITY.md).
 	Observer Observer
@@ -319,7 +292,7 @@ type Settings struct {
 // the outputs match, and an error for truncated-output failures (the
 // technique slices from a wrong value).
 func NewSession(p *Program, input, expected []int64) (*Session, error) {
-	run := backend.Default().Run(p.c, interp.Options{Input: input, BuildTrace: true})
+	run := vm.Backend.Run(p.c, interp.Options{Input: input, BuildTrace: true})
 	if run.Err != nil {
 		return nil, fmt.Errorf("eol: failing run aborted: %w", run.Err)
 	}
@@ -353,7 +326,7 @@ func (s *Session) WrongOutput() (seq int, got, want int64, at Instance) {
 // AddProfileRun executes the program on a passing input and records the
 // value profile used by confidence analysis.
 func (s *Session) AddProfileRun(input []int64) error {
-	r := backend.Default().Run(s.p.c, interp.Options{Input: input, BuildTrace: true})
+	r := vm.Backend.Run(s.p.c, interp.Options{Input: input, BuildTrace: true})
 	if r.Err != nil {
 		return r.Err
 	}
@@ -382,10 +355,10 @@ func (sl Slice) ContainsStmt(id int) bool {
 	return false
 }
 
-func (s *Session) newSlice(g *ddg.Graph, set *ddg.Set) Slice {
+func (s *Session) newSlice(g *depgraph.Graph, set *depgraph.Set) Slice {
 	sl := Slice{}
 	stmts := map[int]bool{}
-	for _, i := range ddg.SortedEntries(set) {
+	for _, i := range set.Ordered() {
 		e := s.run.Trace.At(i)
 		sl.Instances = append(sl.Instances, e.Inst)
 		stmts[e.Inst.Stmt] = true
@@ -400,7 +373,7 @@ func (s *Session) newSlice(g *ddg.Graph, set *ddg.Set) Slice {
 
 // DynamicSlice computes the classic dynamic slice of the wrong output.
 func (s *Session) DynamicSlice() Slice {
-	g := ddg.New(s.run.Trace)
+	g := depgraph.New(s.run.Trace)
 	set := slicing.Dynamic(g, slicing.FailureSeeds(s.run.Trace, s.seq))
 	return s.newSlice(g, set)
 }
@@ -408,7 +381,7 @@ func (s *Session) DynamicSlice() Slice {
 // RelevantSlice computes the relevant slice (dynamic + potential
 // dependences, Definition 1) of the wrong output.
 func (s *Session) RelevantSlice() Slice {
-	g := ddg.New(s.run.Trace)
+	g := depgraph.New(s.run.Trace)
 	set := s.cx.Relevant(g, slicing.FailureSeeds(s.run.Trace, s.seq))
 	return s.newSlice(g, set)
 }
@@ -561,7 +534,7 @@ func WithVerifyCacheSize(n int) LocateOption {
 }
 
 // WithCheckpoints bounds the checkpoint store captured during the
-// failing run (0 = the default bound, interp.DefaultCheckpoints).
+// failing run (0 = the default bound, vm.DefaultCheckpoints).
 // Switched re-executions — the cost driver of implicit-dependence
 // verification — then fork from the nearest checkpoint and replay only
 // the suffix instead of the whole program. More checkpoints mean
@@ -574,55 +547,10 @@ func WithCheckpoints(n int) LocateOption {
 	return func(s *Settings) { s.Checkpoints = n }
 }
 
-// WithoutCheckpoints disables checkpointed switched replay: every
-// switched re-execution replays the program from the start. The
-// diagnosis is identical either way; the flag exists for A/B cost
-// comparison (see Stats.CheckpointHits and Stats.SuffixSteps) and as an
-// escape hatch when snapshot memory matters more than verification
-// speed.
-//
-// Deprecated: use WithFeatures(Features{Checkpoints: FeatureOff}).
-func WithoutCheckpoints() LocateOption {
-	return func(s *Settings) { s.Checkpoints = -1 }
-}
-
-// WithoutIncrementalReprune disables the incremental delta re-pruning of
-// the dependence-graph engine: each Algorithm-2 iteration recomputes
-// confidence over the whole slice from scratch instead of re-propagating
-// only the cone invalidated by newly verified edges. The diagnosis is
-// identical either way; the flag exists for A/B cost comparison (see
-// Stats.Repropagated and Stats.DirtyFraction).
-//
-// Deprecated: use WithFeatures(Features{IncrementalReprune: FeatureOff}).
-func WithoutIncrementalReprune() LocateOption {
-	return func(s *Settings) { s.NoIncremental = true }
-}
-
-// WithoutStaticSkip disables the static skip-filter, which proves some
-// verifications NOT_ID from the failing trace alone and answers them
-// without a switched re-execution. The diagnosis is identical either
-// way; the flag exists for A/B comparison of run counts.
-//
-// Deprecated: use WithFeatures(Features{StaticSkip: FeatureOff}).
-func WithoutStaticSkip() LocateOption {
-	return func(s *Settings) { s.NoStaticSkip = true }
-}
-
-// WithoutStaticReach disables the static reach filter, which proves
-// whole candidate families NOT_ID from the interprocedural dependence
-// graph before any execution (see docs/STATICDEP.md). The diagnosis is
-// identical either way; the flag exists for A/B comparison of run
-// counts (Stats.StaticReachSkips vs Stats.SwitchedRuns).
-//
-// Deprecated: use WithFeatures(Features{StaticReach: FeatureOff}).
-func WithoutStaticReach() LocateOption {
-	return func(s *Settings) { s.NoStaticReach = true }
-}
-
 // WithFeatures overlays the given feature tri-states onto the session's
 // settings: non-default fields win, FeatureDefault fields leave the
-// current configuration (including the legacy negative knobs) alone.
-// The positive replacement for the Without* options above.
+// current configuration alone. Switch a feature off with, e.g.,
+// WithFeatures(Features{StaticSkip: FeatureOff}).
 func WithFeatures(f Features) LocateOption {
 	return func(s *Settings) { s.Features = s.Features.Overlay(f) }
 }
@@ -637,15 +565,6 @@ func WithFeatures(f Features) LocateOption {
 // hosts speculative runs compete with demand work for the same core.
 func WithSpeculation() LocateOption {
 	return WithFeatures(Features{Speculation: core.FeatureOn})
-}
-
-// WithBackend selects the execution backend by name: "vm" (bytecode
-// VM, the default) or "tree" (the tree-walking reference interpreter).
-// Backends produce byte-identical diagnoses, counters and journals —
-// the choice only changes wall-clock time. Unknown names surface as an
-// error from Locate. See docs/VM.md.
-func WithBackend(name string) LocateOption {
-	return func(s *Settings) { s.Backend = name }
 }
 
 // WithObserver attaches an observer to the localization run: it receives
@@ -741,15 +660,10 @@ func (s *Session) LocateContext(ctx context.Context, opts ...LocateOption) (*Dia
 	}
 	st := &s.settings
 
-	bk, err := backend.Lookup(st.Backend)
-	if err != nil {
-		return nil, fmt.Errorf("eol: %w", err)
-	}
-
 	var orc core.Oracle
 	switch {
 	case st.Correct != nil:
-		res := bk.Run(st.Correct.c, interp.Options{Input: s.input, BuildTrace: true, Ctx: ctx})
+		res := vm.Backend.Run(st.Correct.c, interp.Options{Input: s.input, BuildTrace: true, Ctx: ctx})
 		if res.Err == nil && res.Trace != nil {
 			orc = &oracle.StateOracle{Correct: res.Trace}
 		}
@@ -766,7 +680,6 @@ func (s *Session) LocateContext(ctx context.Context, opts ...LocateOption) (*Dia
 
 	spec := &core.Spec{
 		Program:         s.p.c,
-		Backend:         bk,
 		Input:           s.input,
 		Expected:        s.expected,
 		RootCause:       st.RootCause,
@@ -778,9 +691,6 @@ func (s *Session) LocateContext(ctx context.Context, opts ...LocateOption) (*Dia
 		CrossFunctionPD: st.CrossFunctionPD,
 		VerifyWorkers:   st.VerifyWorkers,
 		VerifyCacheSize: st.VerifyCacheSize,
-		NoStaticSkip:    st.NoStaticSkip,
-		NoStaticReach:   st.NoStaticReach,
-		NoIncremental:   st.NoIncremental,
 		Checkpoints:     st.Checkpoints,
 		Features:        st.Features,
 		Observer:        observer,
@@ -841,7 +751,7 @@ func AlignPoint(orig, switched *Execution, pred, point Instance) (Instance, bool
 // candidate list — the paper's PS. Profile runs added with AddProfileRun
 // sharpen the fractional confidences.
 func (s *Session) PrunedSlice() []Candidate {
-	g := ddg.New(s.run.Trace)
+	g := depgraph.New(s.run.Trace)
 	var correct []trace.Output
 	for i := 0; i < s.seq; i++ {
 		correct = append(correct, *s.run.Trace.OutputAt(i))
@@ -867,7 +777,7 @@ func (s *Session) Confidence(inst Instance) (float64, bool) {
 	if idx < 0 {
 		return 0, false
 	}
-	g := ddg.New(s.run.Trace)
+	g := depgraph.New(s.run.Trace)
 	var correct []trace.Output
 	for i := 0; i < s.seq; i++ {
 		correct = append(correct, *s.run.Trace.OutputAt(i))

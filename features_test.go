@@ -1,8 +1,8 @@
 package eol
 
-// Facade coverage for the Features API: the positive tri-state spelling,
-// its equivalence with the deprecated Without* wrappers, and the
-// speculation option's results-neutrality at the public surface.
+// Facade coverage for the Features API: the tri-state spelling, the
+// results-neutrality of switching features off, and the speculation
+// option's results-neutrality at the public surface.
 
 import (
 	"reflect"
@@ -29,28 +29,27 @@ func locateFig1(t *testing.T, opts ...LocateOption) *Diagnosis {
 	return diag
 }
 
-// TestWithFeaturesEquivalentToDeprecatedWrappers: each deprecated
-// Without* wrapper and its WithFeatures spelling configure the same
-// localization — verdict and Table 3 counters identical.
-func TestWithFeaturesEquivalentToDeprecatedWrappers(t *testing.T) {
+// TestWithFeaturesOffResultsNeutral: switching any feature off through
+// WithFeatures configures a localization with the same verdict and
+// Table 3 counters as the defaults.
+func TestWithFeaturesOffResultsNeutral(t *testing.T) {
+	def := locateFig1(t)
 	for _, tc := range []struct {
-		name       string
-		deprecated LocateOption
-		features   Features
+		name     string
+		features Features
 	}{
-		{"static_skip", WithoutStaticSkip(), Features{StaticSkip: FeatureOff}},
-		{"static_reach", WithoutStaticReach(), Features{StaticReach: FeatureOff}},
-		{"incremental_reprune", WithoutIncrementalReprune(), Features{IncrementalReprune: FeatureOff}},
-		{"checkpoints", WithoutCheckpoints(), Features{Checkpoints: FeatureOff}},
+		{"static_skip", Features{StaticSkip: FeatureOff}},
+		{"static_reach", Features{StaticReach: FeatureOff}},
+		{"incremental_reprune", Features{IncrementalReprune: FeatureOff}},
+		{"checkpoints", Features{Checkpoints: FeatureOff}},
 	} {
-		old := locateFig1(t, tc.deprecated)
-		new := locateFig1(t, WithFeatures(tc.features))
-		if old.Root != new.Root ||
-			old.Stats.Verifications != new.Stats.Verifications ||
-			old.Stats.UserPrunings != new.Stats.UserPrunings ||
-			old.Stats.Iterations != new.Stats.Iterations {
-			t.Errorf("%s: wrapper and WithFeatures diverge:\n old: %+v\n new: %+v",
-				tc.name, old.Stats, new.Stats)
+		off := locateFig1(t, WithFeatures(tc.features))
+		if def.Root != off.Root ||
+			def.Stats.Verifications != off.Stats.Verifications ||
+			def.Stats.UserPrunings != off.Stats.UserPrunings ||
+			def.Stats.Iterations != off.Stats.Iterations {
+			t.Errorf("%s: feature off diverges from the defaults:\n default: %+v\n off:     %+v",
+				tc.name, def.Stats, off.Stats)
 		}
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"eol/internal/interp"
 	"eol/internal/lang/ast"
 	"eol/internal/oracle"
+	"eol/internal/vm"
 )
 
 // Case is one benchmark error case (a row of Tables 2-4).
@@ -72,6 +73,8 @@ type Prepared struct {
 	Run      *interp.Result // traced faulty run on the failing input
 	Profile  *confidence.Profile
 	RootStmt int
+
+	correctRun *interp.Result // traced correct run on the failing input
 }
 
 // Prepare compiles both versions, runs them on the failing input, builds
@@ -102,18 +105,18 @@ func (c *Case) Prepare() (*Prepared, error) {
 		}
 	}
 
-	correctRun := interp.Run(correct, interp.Options{Input: c.FailingInput, BuildTrace: true})
+	correctRun := vm.Backend.Run(correct, interp.Options{Input: c.FailingInput, BuildTrace: true})
 	if correctRun.Err != nil {
 		return nil, fmt.Errorf("%s: correct run: %w", c.Name(), correctRun.Err)
 	}
-	faultyRun := interp.Run(faulty, interp.Options{Input: c.FailingInput, BuildTrace: true})
+	faultyRun := vm.Backend.Run(faulty, interp.Options{Input: c.FailingInput, BuildTrace: true})
 	if faultyRun.Err != nil {
 		return nil, fmt.Errorf("%s: faulty run: %w", c.Name(), faultyRun.Err)
 	}
 
 	prof := confidence.NewProfile()
 	for _, in := range c.PassingInputs {
-		r := interp.Run(faulty, interp.Options{Input: in, BuildTrace: true})
+		r := vm.Backend.Run(faulty, interp.Options{Input: in, BuildTrace: true})
 		if r.Err != nil {
 			return nil, fmt.Errorf("%s: profile run: %w", c.Name(), r.Err)
 		}
@@ -132,19 +135,22 @@ func (c *Case) Prepare() (*Prepared, error) {
 	}
 
 	return &Prepared{
-		Case:     c,
-		Faulty:   faulty,
-		Correct:  correct,
-		Expected: correctRun.OutputValues(),
-		Run:      faultyRun,
-		Profile:  prof,
-		RootStmt: root,
+		Case:       c,
+		Faulty:     faulty,
+		Correct:    correct,
+		Expected:   correctRun.OutputValues(),
+		Run:        faultyRun,
+		Profile:    prof,
+		RootStmt:   root,
+		correctRun: correctRun,
 	}, nil
 }
 
-// CorrectTrace returns the reference trace on the failing input.
+// CorrectTrace returns the traced run of the correct program on the
+// failing input, made once by Prepare. Callers share it and must treat
+// it as read-only.
 func (p *Prepared) CorrectTrace() *interp.Result {
-	return interp.Run(p.Correct, interp.Options{Input: p.Case.FailingInput, BuildTrace: true})
+	return p.correctRun
 }
 
 // Spec builds the localization problem with the ground-truth state
@@ -155,7 +161,7 @@ func (p *Prepared) Spec() *core.Spec {
 		Input:     p.Case.FailingInput,
 		Expected:  p.Expected,
 		RootCause: []int{p.RootStmt},
-		Oracle:    &oracle.StateOracle{Correct: p.CorrectTrace().Trace},
+		Oracle:    &oracle.StateOracle{Correct: p.correctRun.Trace},
 		Profile:   p.Profile,
 	}
 }

@@ -30,16 +30,12 @@ type EngineFlags struct {
 	// disables caching.
 	Cache int
 	// Checkpoints bounds the checkpoint store captured during the
-	// failing run: 0 = interpreter default, negative disables
+	// failing run: 0 = vm.DefaultCheckpoints, negative disables
 	// checkpointed switched replay (docs/CHECKPOINT.md).
 	Checkpoints int
 	// NoStaticReach disables the pre-execution static reach filter over
 	// the interprocedural dependence graph (docs/STATICDEP.md).
 	NoStaticReach bool
-	// Backend names the execution backend ("vm", the default, or
-	// "tree"). Backends are byte-identical — the flag only changes
-	// wall-clock time (docs/VM.md).
-	Backend string
 	// Speculate enables speculative verification: predicted next-round
 	// switched runs overlap the incremental re-prune. Results, counters,
 	// and the journal are byte-identical either way
@@ -51,9 +47,7 @@ type EngineFlags struct {
 // tri-states for core.Spec.Features / corpus.Options.Features:
 // -no-static-reach maps to StaticReach off, -speculate to Speculation
 // on. The sizing knobs (Workers, Cache, Checkpoints) stay plain ints
-// because they carry sizes, not on/off choices. Commands should pass
-// this instead of copying NoStaticReach into the deprecated negative
-// fields.
+// because they carry sizes, not on/off choices.
 func (ef *EngineFlags) Features() core.Features {
 	var f core.Features
 	if ef.NoStaticReach {
@@ -66,8 +60,7 @@ func (ef *EngineFlags) Features() core.Features {
 }
 
 // RegisterEngineFlags registers the unified engine knobs -workers,
-// -cache, -checkpoints, -no-static-reach, -backend, and -speculate on
-// fs. The pre-unification spellings -verify-workers/-verify-cache
+// -cache, -checkpoints, -no-static-reach and -speculate on fs. The pre-unification spellings -verify-workers/-verify-cache
 // finished their deprecation cycle and are gone: they fail like any
 // unknown flag (usage + exit code 2 under flag.ExitOnError).
 func RegisterEngineFlags(fs *flag.FlagSet) *EngineFlags {
@@ -82,17 +75,8 @@ func RegisterEngineFlags(fs *flag.FlagSet) *EngineFlags {
 		"disable the pre-execution static reach filter")
 	fs.BoolVar(&ef.Speculate, "speculate", false,
 		"speculatively verify predicted candidates during re-prune (same results, see docs/SPECULATION.md)")
-	RegisterBackendFlag(fs, &ef.Backend)
 	hideAliases(fs)
 	return ef
-}
-
-// RegisterBackendFlag registers -backend on fs, bound to target. Split
-// out of RegisterEngineFlags for commands that execute programs without
-// running localizations (cmd/slicer's slicing modes, cmd/minic).
-func RegisterBackendFlag(fs *flag.FlagSet, target *string) {
-	fs.StringVar(target, "backend", "vm",
-		"execution `backend`: vm (bytecode) or tree (reference interpreter)")
 }
 
 // ObsFlags holds the observability knobs shared by every command:

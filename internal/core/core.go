@@ -53,10 +53,9 @@ import (
 	"fmt"
 	"strconv"
 
-	"eol/internal/backend"
 	"eol/internal/check"
 	"eol/internal/confidence"
-	"eol/internal/ddg"
+	"eol/internal/depgraph"
 	"eol/internal/implicit"
 	"eol/internal/interp"
 	"eol/internal/obs"
@@ -64,6 +63,7 @@ import (
 	"eol/internal/staticdep"
 	"eol/internal/trace"
 	"eol/internal/verifyengine"
+	"eol/internal/vm"
 )
 
 // Oracle abstracts the programmer's two roles in Algorithm 2: judging
@@ -107,12 +107,6 @@ func (neverBenign) IsBenign(*trace.Trace, int) bool { return false }
 type Spec struct {
 	// Program is the compiled faulty program.
 	Program *interp.Compiled
-	// Backend selects the execution engine for the failing run and every
-	// switched/perturbed re-execution (nil = backend.Default(), the
-	// bytecode VM). Backends are byte-identical — same Report counters,
-	// VerifyLog, obs journal — so this only changes wall-clock time; the
-	// tree-walker (interp.Tree) remains the differential oracle.
-	Backend interp.Backend
 	// Input is the failing input.
 	Input []int64
 	// Expected is the correct output sequence (from the test oracle).
@@ -152,22 +146,12 @@ type Spec struct {
 	// VerifyCacheSize.
 	VerifyCache *verifyengine.RunCache
 	// Features selects the optional engine features as explicit
-	// tri-states (see the Features type). It is the preferred spelling;
-	// the negative knobs below remain honored where a field is left at
-	// FeatureDefault. Resolution order is defined by ResolveFeatures.
+	// tri-states (see the Features type); ResolveFeatures defines what
+	// they enable.
 	Features Features
-	// NoIncremental disables incremental re-pruning: every PruneSlicing
-	// pass recomputes confidence over the whole graph instead of
-	// re-propagating only the cone invalidated since the previous pass.
-	// Results (Report counters, VerifyLog, obs journal) are byte-identical
-	// either way — only Stats.Repropagated/DirtyFraction and wall-clock
-	// time differ — so this flag exists for A/B comparison and debugging.
-	//
-	// Deprecated: set Features.IncrementalReprune = FeatureOff instead.
-	NoIncremental bool
 	// Checkpoints bounds the execution snapshots captured during the
 	// failing run for checkpointed switched replay (docs/CHECKPOINT.md):
-	// 0 means interp.DefaultCheckpoints, negative disables checkpointing
+	// 0 means vm.DefaultCheckpoints, negative disables checkpointing
 	// entirely. Every switched re-execution then forks from the nearest
 	// checkpoint and replays only the suffix. Results (Report counters,
 	// VerifyLog, obs journal) are byte-identical on or off — only
@@ -178,27 +162,6 @@ type Spec struct {
 	// Features.Checkpoints for the on/off switch and keep this field
 	// >= 0 as the capture count.
 	Checkpoints int
-	// NoStaticSkip disables the static skip-filter
-	// (check.SwitchFilter), which proves some verifications NOT_ID from
-	// the failing trace alone and answers them without a switched
-	// re-execution. The filter never changes verdicts, counters or the
-	// VerifyLog — only Stats.SwitchedRuns and StaticSkips — so it is on
-	// by default; this flag exists for A/B comparison and debugging.
-	// The filter is unsound under PathMode and is force-disabled there.
-	//
-	// Deprecated: set Features.StaticSkip = FeatureOff instead.
-	NoStaticSkip bool
-	// NoStaticReach disables the SPDG reach filter
-	// (check.StaticReachFilter), which proves some verifications NOT_ID
-	// from the static program dependence graph alone — before any
-	// execution — and answers them with zero trace work. Like the replay
-	// filter above it never changes verdicts, Table-3 counters or the
-	// VerifyLog — only Stats.SwitchedRuns and StaticReachSkips — so it is
-	// on by default; the flag exists for A/B comparison and debugging.
-	// Unsound under PathMode and force-disabled there.
-	//
-	// Deprecated: set Features.StaticReach = FeatureOff instead.
-	NoStaticReach bool
 	// StaticDeps optionally supplies a prebuilt SPDG for Program (e.g.
 	// the corpus driver's shared staticdep.Cache); nil means Locate
 	// builds its own when the reach filter is enabled.
@@ -228,7 +191,7 @@ type Report struct {
 	// < 1 in the wrong output's expanded slice). IPSEntries is ranked
 	// most-suspicious-first; IPSConfidence holds the matching confidence
 	// values.
-	IPS           ddg.SliceStats
+	IPS           depgraph.SliceStats
 	IPSEntries    []int
 	IPSConfidence []float64
 
@@ -241,7 +204,7 @@ type Report struct {
 
 	// Trace and Graph expose the analyzed execution for reporting.
 	Trace *trace.Trace
-	Graph *ddg.Graph
+	Graph *depgraph.Graph
 }
 
 // ErrNoFailure is returned when the program's output matches Expected.
@@ -311,21 +274,15 @@ func LocateContext(ctx context.Context, spec *Spec) (*Report, error) {
 	rec := obs.NewRecorder(spec.Observer)
 	rec.Begin("locate")
 
-	bk := spec.Backend
-	if bk == nil {
-		bk = backend.Default()
-	}
-
 	// The failing run ("Graph" construction in Table 4 terms). It also
 	// captures the checkpoint store that later switched re-executions
-	// fork from (unless disabled). The store is the backend's own
-	// representation, so forks restore native execution state.
+	// fork from (unless disabled).
 	var cks interp.Checkpoints
 	if feats.Checkpoints {
-		cks = bk.NewCheckpoints(feats.CheckpointCount)
+		cks = vm.Backend.NewCheckpoints(feats.CheckpointCount)
 	}
 	rec.Begin("failing_run")
-	run := bk.Run(spec.Program, interp.Options{Input: spec.Input, BuildTrace: true, Rec: rec, Ctx: ctx, Checkpoints: cks})
+	run := vm.Backend.Run(spec.Program, interp.Options{Input: spec.Input, BuildTrace: true, Rec: rec, Ctx: ctx, Checkpoints: cks})
 	rec.End("failing_run", int64(run.Steps))
 	if run.Err != nil {
 		rec.End("locate", 0)
@@ -358,7 +315,7 @@ func LocateContext(ctx context.Context, spec *Spec) (*Report, error) {
 	}
 
 	rec.Begin("slicing")
-	g := ddg.New(tr)
+	g := depgraph.New(tr)
 	cx := slicing.NewContext(spec.Program, tr)
 	cx.CrossFunction = spec.CrossFunctionPD
 	an := confidence.New(spec.Program, g, spec.Profile, correct, wrong)
@@ -368,7 +325,7 @@ func LocateContext(ctx context.Context, spec *Spec) (*Report, error) {
 		C: spec.Program, Input: spec.Input, Orig: tr,
 		WrongOut: wrong, Vexp: vexp, HasVexp: hasVexp,
 		PathMode: spec.PathMode, BudgetFactor: spec.BudgetFactor,
-		Rec: rec, Ctx: ctx, Backend: bk, Checkpoints: cks,
+		Rec: rec, Ctx: ctx, Checkpoints: cks,
 	}
 
 	engCfg := verifyengine.Config{
@@ -550,7 +507,7 @@ func (l *locator) pd(entry int) []slicing.PDep {
 //
 // Each Compute here is a re-prune: after the first pass it re-propagates
 // only the cone invalidated by the latest expansion edges and pins
-// (unless Spec.NoIncremental). The dirty-set sizes are mode-dependent
+// (unless Features.IncrementalReprune is off). The dirty-set sizes are mode-dependent
 // cost counters and therefore live in Report.Stats
 // (Repropagated/DirtyFraction), not in the journal — the reprune span
 // itself is emitted identically in both modes.
@@ -629,8 +586,8 @@ func (l *locator) finalizeStats() {
 		rep.Stats.Checkpoints = cs.Count
 		rep.Stats.CheckpointBytes = cs.Bytes
 	}
-	rep.Stats.StrongEdges = rep.Graph.NumExtraEdges(ddg.StrongImplicit)
-	rep.Stats.ImplicitEdges = rep.Graph.NumExtraEdges(ddg.Implicit)
+	rep.Stats.StrongEdges = rep.Graph.NumExtraEdges(depgraph.StrongImplicit)
+	rep.Stats.ImplicitEdges = rep.Graph.NumExtraEdges(depgraph.Implicit)
 	passes, reeval := l.an.RepropStats()
 	rep.Stats.Repropagated = reeval
 	if passes > 0 && l.cx.T.Len() > 0 {
@@ -684,11 +641,11 @@ func (l *locator) expand(u int) (bool, error) {
 	for i, v := range vs {
 		byVerdict[v] = append(byVerdict[v], pds[i])
 	}
-	kind := ddg.StrongImplicit
+	kind := depgraph.StrongImplicit
 	verdict := implicit.StrongID
 	group := byVerdict[implicit.StrongID]
 	if len(group) == 0 {
-		kind = ddg.Implicit
+		kind = depgraph.Implicit
 		verdict = implicit.ID
 		group = byVerdict[implicit.ID]
 	}
@@ -758,7 +715,7 @@ func (l *locator) siblingUses(p, u int) []int {
 func (l *locator) finish() {
 	l.an.Compute()
 	cands := l.an.FaultCandidates()
-	ips := ddg.NewSet(l.cx.T.Len())
+	ips := depgraph.NewSet(l.cx.T.Len())
 	for _, c := range cands {
 		ips.Add(c.Entry)
 		l.rep.IPSEntries = append(l.rep.IPSEntries, c.Entry)

@@ -100,7 +100,7 @@ func TestDeterminismFig1(t *testing.T) {
 // skipping switched runs somewhere in the suite (the whole point).
 func TestDeterminismStaticSkip(t *testing.T) {
 	off := fig1DetSpec(t)
-	off.NoStaticSkip = true
+	off.Features.StaticSkip = core.FeatureOff
 	want := locateConfigured(t, off, 1, -1)
 	got := locateConfigured(t, fig1DetSpec(t), 1, -1)
 	assertSameOutcome(t, "fig1/skip-on", want, got)
@@ -116,7 +116,7 @@ func TestDeterminismStaticSkip(t *testing.T) {
 			t.Fatal(err)
 		}
 		specOff := p.Spec()
-		specOff.NoStaticSkip = true
+		specOff.Features.StaticSkip = core.FeatureOff
 		want := locateConfigured(t, specOff, 1, -1)
 		got := locateConfigured(t, p.Spec(), 1, -1)
 		assertSameOutcome(t, name+"/skip-on", want, got)
@@ -152,4 +152,13 @@ func TestDeterminismSed(t *testing.T) {
 		got := locateConfigured(t, p.Spec(), 8, 0)
 		assertSameOutcome(t, name+"/workers=8", want, got)
 	}
+}
+
+// offIf maps a configuration table's "disable" flag onto a feature
+// tri-state.
+func offIf(disable bool) core.FeatureMode {
+	if disable {
+		return core.FeatureOff
+	}
+	return core.FeatureDefault
 }

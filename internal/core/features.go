@@ -6,10 +6,8 @@ import (
 )
 
 // FeatureMode is a tri-state switch for one optional engine feature.
-// FeatureDefault defers to the legacy knob on Spec (NoStaticSkip,
-// NoStaticReach, NoIncremental, the sign of Checkpoints) or, for features
-// without a legacy knob, to the built-in default; FeatureOn and
-// FeatureOff force the feature regardless of the legacy knobs.
+// FeatureDefault selects the built-in default (for Checkpoints, the sign
+// of Spec.Checkpoints); FeatureOn and FeatureOff force the feature.
 type FeatureMode uint8
 
 const (
@@ -43,34 +41,39 @@ func ParseFeatureMode(s string) (FeatureMode, error) {
 	return FeatureDefault, fmt.Errorf("unknown feature mode %q (want on, off or default)", s)
 }
 
-// Features selects the locator's optional engine features positively,
-// replacing the accreted negative knobs on Spec (NoStaticSkip,
-// NoStaticReach, NoIncremental, Checkpoints < 0). Each field is a
-// tri-state: FeatureDefault defers to the corresponding legacy knob, so
-// a zero Features changes nothing and old call sites keep working.
+// Features selects the locator's optional engine features; it is the
+// only on/off surface for them. Each field is a tri-state, and a zero
+// Features selects every built-in default.
 //
 // Every feature is results-neutral: Report counters, VerifyLog and the
 // obs journal are byte-identical whatever the switches — only cost
 // counters and wall-clock time change (see the field docs on Spec).
 type Features struct {
-	// StaticSkip is the trace-replay skip filter (check.SwitchFilter);
-	// legacy knob: NoStaticSkip. On by default.
+	// StaticSkip is the trace-replay skip filter (check.SwitchFilter),
+	// which proves some verifications NOT_ID from the failing trace
+	// alone and answers them without a switched re-execution. It moves
+	// only Stats.SwitchedRuns and StaticSkips. Unsound under PathMode
+	// and forced off there. On by default.
 	StaticSkip FeatureMode
 	// StaticReach is the SPDG pre-execution reach filter
-	// (check.StaticReachFilter); legacy knob: NoStaticReach. On by
-	// default.
+	// (check.StaticReachFilter), which proves some verifications NOT_ID
+	// from the static program dependence graph alone. It moves only
+	// Stats.SwitchedRuns and StaticReachSkips. Unsound under PathMode
+	// and forced off there. On by default.
 	StaticReach FeatureMode
-	// IncrementalReprune is delta re-propagation in confidence analysis;
-	// legacy knob: NoIncremental. On by default.
+	// IncrementalReprune is delta re-propagation in confidence
+	// analysis: each PruneSlicing pass re-propagates only the cone
+	// invalidated since the previous pass instead of the whole graph.
+	// It moves only Stats.Repropagated/DirtyFraction. On by default.
 	IncrementalReprune FeatureMode
-	// Checkpoints is checkpointed switched replay; legacy knob: the sign
-	// of Spec.Checkpoints (negative = off). When forced On while the
-	// legacy field is negative, the default checkpoint count is used;
-	// otherwise Spec.Checkpoints keeps selecting the count. On by
+	// Checkpoints is checkpointed switched replay. FeatureDefault
+	// follows the sign of Spec.Checkpoints (negative = off). When forced
+	// On while that field is negative, the default checkpoint count is
+	// used; otherwise Spec.Checkpoints keeps selecting the count. On by
 	// default.
 	Checkpoints FeatureMode
 	// Speculation overlaps predicted next-round switched runs with the
-	// re-prune (docs/SPECULATION.md). No legacy knob; OFF by default —
+	// re-prune (docs/SPECULATION.md). OFF by default —
 	// on single-CPU hosts speculative runs compete with demand work.
 	// Forced off under PathMode and when the switched-run cache is
 	// disabled (there is nowhere to land the results).
@@ -173,31 +176,29 @@ func (f Features) Map() map[string]string {
 }
 
 // ResolvedFeatures is a Spec's feature configuration after resolving the
-// tri-states against the legacy knobs: plain booleans plus the
-// checkpoint count, ready for LocateContext to act on.
+// tri-states: plain booleans plus the checkpoint count, ready for
+// LocateContext to act on.
 type ResolvedFeatures struct {
 	StaticSkip         bool
 	StaticReach        bool
 	IncrementalReprune bool
 	Checkpoints        bool
 	// CheckpointCount is the capture bound when Checkpoints is true
-	// (0 = interp.DefaultCheckpoints).
+	// (0 = vm.DefaultCheckpoints).
 	CheckpointCount int
 	Speculation     bool
 }
 
-// ResolveFeatures resolves spec's Features against its legacy negative
-// knobs. FeatureDefault defers to the legacy field; FeatureOn/FeatureOff
-// override it. This is the single source of truth for what LocateContext
-// enables — callers inspecting a Spec (harness, corpus, tests) should
-// use it instead of reading the legacy fields.
+// ResolveFeatures resolves spec's Features: FeatureOn/FeatureOff force
+// a feature, FeatureDefault selects its default. This is the single
+// source of truth for what LocateContext enables — callers inspecting a
+// Spec (harness, corpus, tests) should use it.
 func (s *Spec) ResolveFeatures() ResolvedFeatures {
 	r := ResolvedFeatures{
-		StaticSkip:         !s.NoStaticSkip,
-		StaticReach:        !s.NoStaticReach,
-		IncrementalReprune: !s.NoIncremental,
+		StaticSkip:         true,
+		StaticReach:        true,
+		IncrementalReprune: true,
 		Checkpoints:        s.Checkpoints >= 0,
-		Speculation:        false,
 	}
 	if s.Checkpoints > 0 {
 		r.CheckpointCount = s.Checkpoints

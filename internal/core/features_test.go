@@ -95,11 +95,12 @@ func TestFeaturesOverlay(t *testing.T) {
 	}
 }
 
-// TestResolveFeaturesLegacyMapping pins the compatibility contract: at
-// FeatureDefault the deprecated negative knobs decide, and an explicit
-// tri-state overrides them.
+// TestResolveFeaturesLegacyMapping pins the resolution contract: a zero
+// Features selects every default, the sign of Spec.Checkpoints (the one
+// remaining legacy encoding) decides checkpoints at FeatureDefault, and
+// an explicit tri-state overrides it.
 func TestResolveFeaturesLegacyMapping(t *testing.T) {
-	// Zero spec: everything on (speculation off — no legacy knob).
+	// Zero spec: everything on except speculation.
 	var s Spec
 	r := s.ResolveFeatures()
 	want := ResolvedFeatures{StaticSkip: true, StaticReach: true, IncrementalReprune: true, Checkpoints: true}
@@ -107,11 +108,11 @@ func TestResolveFeaturesLegacyMapping(t *testing.T) {
 		t.Errorf("zero spec: %+v, want %+v", r, want)
 	}
 
-	// Legacy knobs flip the defaults.
-	s = Spec{NoStaticSkip: true, NoStaticReach: true, NoIncremental: true, Checkpoints: -1}
+	// A negative checkpoint count turns checkpoints off.
+	s = Spec{Checkpoints: -1}
 	r = s.ResolveFeatures()
-	if r.StaticSkip || r.StaticReach || r.IncrementalReprune || r.Checkpoints {
-		t.Errorf("legacy knobs ignored: %+v", r)
+	if r.Checkpoints {
+		t.Errorf("negative Checkpoints ignored: %+v", r)
 	}
 
 	// Explicit tri-states beat the legacy knobs.
@@ -124,7 +125,7 @@ func TestResolveFeaturesLegacyMapping(t *testing.T) {
 	}
 	r = s.ResolveFeatures()
 	if !r.StaticSkip || !r.StaticReach || !r.IncrementalReprune || !r.Checkpoints || !r.Speculation {
-		t.Errorf("explicit on overridden by legacy knobs: %+v", r)
+		t.Errorf("explicit on overridden: %+v", r)
 	}
 	// Forced on over a negative legacy count uses the default count.
 	if r.CheckpointCount != 0 {

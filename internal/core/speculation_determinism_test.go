@@ -3,7 +3,7 @@ package core_test
 // Speculation A/B coverage: Locate with Features.Speculation on must be
 // observationally identical to Locate with it off — verdict, Table 3
 // counters, VerifyLog, IPS ranking, and the byte-level obs journal —
-// across worker, cache, and backend configurations. This is the hard
+// across worker and cache configurations. This is the hard
 // guarantee that lets speculation ship enabled without perturbing the
 // paper's reproducible numbers: only Stats.SpecIssued/SpecHits/SpecWasted
 // (never journal gauges) may differ.
@@ -14,25 +14,20 @@ import (
 
 	"eol/internal/bench"
 	"eol/internal/core"
-	"eol/internal/interp"
-	"eol/internal/vm"
 )
 
 // speculationConfigs is the configuration matrix the A/B comparison
-// sweeps: workers 1/8 × cache off/on × backend tree/vm. The cache-off
-// rows pin the degenerate case — speculation has nowhere to land results
-// and must be a silent no-op.
+// sweeps: workers 1/8 × cache off/on. The cache-off rows pin the
+// degenerate case — speculation has nowhere to land results and must be
+// a silent no-op.
 var speculationConfigs = []struct {
 	label            string
 	workers, cacheSz int
-	backend          interp.Backend
 }{
-	{"tree/workers=1/nocache", 1, -1, interp.Tree},
-	{"tree/workers=1/cache", 1, 0, interp.Tree},
-	{"tree/workers=8/cache", 8, 0, interp.Tree},
-	{"vm/workers=1/cache", 1, 0, vm.Backend},
-	{"vm/workers=8/nocache", 8, -1, vm.Backend},
-	{"vm/workers=8/cache", 8, 0, vm.Backend},
+	{"workers=1/nocache", 1, -1},
+	{"workers=1/cache", 1, 0},
+	{"workers=8/nocache", 8, -1},
+	{"workers=8/cache", 8, 0},
 }
 
 func withSpeculation(spec *core.Spec, on bool) *core.Spec {
@@ -47,11 +42,9 @@ func withSpeculation(spec *core.Spec, on bool) *core.Spec {
 func TestSpeculationDeterminismFig1(t *testing.T) {
 	for _, cfg := range speculationConfigs {
 		offSpec := fig1DetSpec(t)
-		offSpec.Backend = cfg.backend
 		offSpec.VerifyWorkers, offSpec.VerifyCacheSize = cfg.workers, cfg.cacheSz
 
 		onSpec := withSpeculation(fig1DetSpec(t), true)
-		onSpec.Backend = cfg.backend
 		onSpec.VerifyWorkers, onSpec.VerifyCacheSize = cfg.workers, cfg.cacheSz
 
 		offRep, offJournal := locateJournaled(t, offSpec)

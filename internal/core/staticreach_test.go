@@ -79,7 +79,7 @@ func TestStaticReachAB(t *testing.T) {
 	for _, sub := range staticReachSubjects {
 		t.Run(sub.name, func(t *testing.T) {
 			offSpec := staticReachSpec(t, sub.base, sub.root, sub.crossFn)
-			offSpec.NoStaticReach = true
+			offSpec.Features.StaticReach = core.FeatureOff
 			offSpec.VerifyWorkers, offSpec.VerifyCacheSize = 1, -1
 			off, offJournal := locateJournaled(t, offSpec)
 			if !off.Located {
@@ -151,7 +151,7 @@ func TestStaticReachJournalNoFire(t *testing.T) {
 		t.Fatalf("expected no static reach skips on Figure 1, got %d", on.Stats.StaticReachSkips)
 	}
 	offSpec := fig1DetSpec(t)
-	offSpec.NoStaticReach = true
+	offSpec.Features.StaticReach = core.FeatureOff
 	off, offJournal := locateJournaled(t, offSpec)
 	assertSameOutcome(t, "fig1/on-vs-off", off, on)
 	if !bytes.Equal(onJournal, offJournal) {

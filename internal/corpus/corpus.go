@@ -37,13 +37,13 @@ import (
 
 	"eol/internal/confidence"
 	"eol/internal/core"
-	"eol/internal/backend"
 	"eol/internal/interp"
 	"eol/internal/lang/ast"
 	"eol/internal/obs"
 	"eol/internal/oracle"
 	"eol/internal/staticdep"
 	"eol/internal/verifyengine"
+	"eol/internal/vm"
 )
 
 // Options configures a corpus run.
@@ -72,22 +72,10 @@ type Options struct {
 	// (0 = interpreter default, negative disables checkpointed switched
 	// replay). Per-subject results are identical either way.
 	Checkpoints int
-	// NoStaticReach disables the pre-execution static reach filter
-	// (docs/STATICDEP.md). Per-subject results are identical either way;
-	// only the run-count split in Stats changes.
-	//
-	// Deprecated: set Features.StaticReach = core.FeatureOff instead.
-	NoStaticReach bool
 	// Features selects optional engine features for every subject, as
 	// explicit tri-states; per-subject manifest features (wire spelling)
 	// overlay it key by key. Results-neutral, like all features.
 	Features core.Features
-	// Backend names the execution backend for subjects that do not pick
-	// their own ("" = library default). Backends are byte-identical, so
-	// the corpus JSON and journal never depend on — or record — the
-	// choice: that blindness is what lets the vm-smoke CI lane compare
-	// tree and vm outputs byte for byte.
-	Backend string
 	// Shared, if non-nil, supplies externally owned warm state — the
 	// compile cache, the switched-run cache, and the SPDG cache — that
 	// outlives this Run call. Resident drivers (internal/serve) keep one
@@ -318,15 +306,6 @@ func runSubject(ctx context.Context, s *Subject, shard int, shared *verifyengine
 		return fail(fmt.Errorf("compile: %w", err))
 	}
 
-	bkName := s.Backend
-	if bkName == "" {
-		bkName = opts.Backend
-	}
-	bk, err := backend.Lookup(bkName)
-	if err != nil {
-		return fail(err)
-	}
-
 	sctx := ctx
 	if d := s.Deadline.D(); d == 0 && opts.Deadline > 0 {
 		s2 := *s
@@ -348,7 +327,6 @@ func runSubject(ctx context.Context, s *Subject, shard int, shared *verifyengine
 	}
 	spec := &core.Spec{
 		Program:         faulty,
-		Backend:         bk,
 		Input:           s.Input,
 		Expected:        s.Expected,
 		MaxIterations:   s.MaxIterations,
@@ -358,7 +336,6 @@ func runSubject(ctx context.Context, s *Subject, shard int, shared *verifyengine
 		VerifyCacheSize: opts.CacheSize,
 		VerifyCache:     shared,
 		Checkpoints:     opts.Checkpoints,
-		NoStaticReach:   opts.NoStaticReach,
 		Features:        opts.Features.Overlay(subjFeats),
 	}
 	if spec.ResolveFeatures().StaticReach && !s.PathMode {
@@ -370,7 +347,7 @@ func runSubject(ctx context.Context, s *Subject, shard int, shared *verifyengine
 		if err != nil {
 			return fail(fmt.Errorf("compile correct: %w", err))
 		}
-		corRun := bk.Run(correct, interp.Options{Input: s.Input, BuildTrace: true, Ctx: sctx})
+		corRun := vm.Backend.Run(correct, interp.Options{Input: s.Input, BuildTrace: true, Ctx: sctx})
 		if corRun.Err != nil {
 			return fail(fmt.Errorf("correct run: %w", corRun.Err))
 		}

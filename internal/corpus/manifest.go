@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"time"
 
-	"eol/internal/backend"
 	"eol/internal/core"
 )
 
@@ -91,10 +90,9 @@ type Subject struct {
 	// boundaries for globals — the mode where the static reach filter
 	// has pruning power (see docs/STATICDEP.md).
 	CrossFunctionPD bool `json:"cross_function_pd,omitempty"`
-	// Backend names the execution backend for this subject ("vm" or
-	// "tree"; "" = Defaults.Backend, then Options.Backend, then the
-	// library default). Backends are byte-identical, so results and the
-	// journal do not depend on — and never record — the choice.
+	// Backend is deprecated: every run goes through the VM. It is
+	// still decoded for this schema version and accepts only "" and
+	// "vm"; Validate rejects any other value.
 	Backend string `json:"backend,omitempty"`
 	// Features selects optional engine features by wire name
 	// (static_skip, static_reach, incremental_reprune, checkpoints,
@@ -113,7 +111,7 @@ type Defaults struct {
 	MaxIterations   int               `json:"max_iterations,omitempty"`
 	PathMode        bool              `json:"path_mode,omitempty"`
 	CrossFunctionPD bool              `json:"cross_function_pd,omitempty"`
-	Backend         string            `json:"backend,omitempty"`
+	Backend         string            `json:"backend,omitempty"` // deprecated; see Subject.Backend
 	Features        map[string]string `json:"features,omitempty"`
 }
 
@@ -233,8 +231,8 @@ func (m *Manifest) Validate() error {
 			return fmt.Errorf("subject %d: duplicate name %q", i, s.Name)
 		}
 		seen[s.Name] = true
-		if _, err := backend.Lookup(s.Backend); err != nil {
-			return fmt.Errorf("subject %d (%s): %w", i, s.Name, err)
+		if s.Backend != "" && s.Backend != "vm" {
+			return fmt.Errorf("subject %d (%s): unsupported execution backend %q (the VM is the only executor)", i, s.Name, s.Backend)
 		}
 		if _, err := core.ParseFeatures(s.Features); err != nil {
 			return fmt.Errorf("subject %d (%s): %w", i, s.Name, err)

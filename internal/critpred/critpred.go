@@ -22,11 +22,12 @@ package critpred
 import (
 	"sort"
 
-	"eol/internal/ddg"
+	"eol/internal/depgraph"
 	"eol/internal/interp"
 	"eol/internal/lang/ast"
 	"eol/internal/slicing"
 	"eol/internal/trace"
+	"eol/internal/vm"
 )
 
 // Strategy selects the search order.
@@ -72,7 +73,7 @@ type Result struct {
 // judged against the expected output values.
 func Search(c *interp.Compiled, input []int64, expected []int64, opts Options) *Result {
 	res := &Result{}
-	orig := interp.Run(c, interp.Options{Input: input, BuildTrace: true})
+	orig := vm.Backend.Run(c, interp.Options{Input: input, BuildTrace: true})
 	if orig.Err != nil || orig.Trace == nil {
 		return res
 	}
@@ -90,7 +91,7 @@ func Search(c *interp.Compiled, input []int64, expected []int64, opts Options) *
 			return res
 		}
 		res.Switches++
-		sw := interp.Run(c, interp.Options{
+		sw := vm.Backend.Run(c, interp.Options{
 			Input:      input,
 			Switch:     &interp.SwitchPlan{Stmt: inst.Stmt, Occ: inst.Occ},
 			StepBudget: budget,
@@ -124,8 +125,8 @@ func candidateOrder(c *interp.Compiled, orig *interp.Result, expected []int64, s
 		seq, missing, ok := slicing.FirstWrongOutput(orig.OutputValues(), expected)
 		if ok && !missing {
 			seed := slicing.FailureSeeds(tr, seq)
-			g := ddg.New(tr)
-			dist := g.Distances(ddg.Explicit, seed)
+			g := depgraph.New(tr)
+			dist := g.Distances(depgraph.Explicit, seed)
 			inSlice := func(i int) (int, bool) {
 				if dist == nil || dist[i] < 0 {
 					return 0, false

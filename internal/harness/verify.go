@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"time"
 
-	"eol/internal/backend"
 	"eol/internal/bench"
 	"eol/internal/core"
 )
@@ -53,10 +52,6 @@ func VerifyCase(p *bench.Prepared, opt Options) (*VerifyRow, error) {
 	if reps <= 0 {
 		reps = 5
 	}
-	bk, err := backend.Lookup(opt.Backend)
-	if err != nil {
-		return nil, err
-	}
 	modes := []struct {
 		name             string
 		workers, cacheSz int
@@ -74,7 +69,6 @@ func VerifyCase(p *bench.Prepared, opt Options) (*VerifyRow, error) {
 	for r := 0; r < reps+1; r++ { // first round is warm-up
 		for i, m := range modes {
 			spec := p.Spec()
-			spec.Backend = bk
 			spec.VerifyWorkers = m.workers
 			spec.VerifyCacheSize = m.cacheSz
 			spec.Checkpoints = opt.Checkpoints

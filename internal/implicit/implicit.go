@@ -36,12 +36,12 @@ import (
 	"fmt"
 
 	"eol/internal/align"
-	"eol/internal/ddg"
 	"eol/internal/depgraph"
 	"eol/internal/interp"
 	"eol/internal/obs"
 	"eol/internal/region"
 	"eol/internal/trace"
+	"eol/internal/vm"
 )
 
 // Verdict is the outcome of one verification.
@@ -105,17 +105,9 @@ type Verifier struct {
 	// invoke the interpreter directly. Copied by Clone.
 	Ctx context.Context
 
-	// Backend selects the execution engine for the verifier's switched
-	// re-executions (nil = interp.Tree). It must be the backend that
-	// produced Orig and Checkpoints: backends are byte-identical, so any
-	// mix yields the same verdicts, but a foreign checkpoint store cannot
-	// be forked and every run would pay full-replay cost. Copied by
-	// Clone.
-	Backend interp.Backend
-
 	// Checkpoints, if non-nil, holds execution snapshots captured during
-	// the failing run by Backend (tree: interp.CheckpointStore; vm:
-	// vm.Store). Inline switched runs then fork from the nearest
+	// the failing run (a vm.Store). Inline switched runs then fork from
+	// the nearest
 	// checkpoint at or before the switched instance and re-execute only
 	// the suffix — byte-identical results, a fraction of the steps
 	// (docs/CHECKPOINT.md). Read-only after the failing run, so it is
@@ -262,22 +254,16 @@ func (v *Verifier) Clone() *Verifier {
 		C: v.C, Input: v.Input, Orig: v.Orig,
 		WrongOut: v.WrongOut, Vexp: v.Vexp, HasVexp: v.HasVexp,
 		BudgetFactor: v.BudgetFactor, PathMode: v.PathMode, Runner: v.Runner,
-		Ctx: v.Ctx, Backend: v.Backend, Checkpoints: v.Checkpoints,
+		Ctx: v.Ctx, Checkpoints: v.Checkpoints,
 	}
-}
-
-// backend resolves the verifier's execution backend (nil = interp.Tree).
-func (v *Verifier) backend() interp.Backend {
-	if v.Backend != nil {
-		return v.Backend
-	}
-	return interp.Tree
 }
 
 // RunSwitched performs the switched re-execution underlying one
-// verification: run c on input with pred's branch outcome inverted, with
-// full tracing, bounded by budget steps. Exported so scheduling layers
-// can perform (and cache) the expensive part of VerifyDetailed.
+// verification — run c on input with pred's branch outcome inverted,
+// with full tracing, bounded by budget steps — on the tree-walking
+// reference interpreter (interp.Run). The verifier itself runs on the
+// VM (RunSwitchedFrom); RunSwitched is the independent reference that
+// tests and the benchmark's checks compare VM verdicts against.
 func RunSwitched(c *interp.Compiled, input []int64, pred trace.Instance, budget int) *interp.Result {
 	return RunSwitchedContext(nil, c, input, pred, budget)
 }
@@ -295,20 +281,16 @@ func RunSwitchedContext(ctx context.Context, c *interp.Compiled, input []int64, 
 	})
 }
 
-// RunSwitchedFrom is the checkpoint-accelerated form of
-// RunSwitchedContext on an explicit backend b (nil = interp.Tree): when
-// cks holds a checkpoint of b at or before pred's instance in orig (the
-// failing run's trace), the switched run forks from it and re-executes
-// only the suffix. The result — trace, outputs, verdict-relevant state,
-// step count — is byte-identical to a full switched run; only
-// Result.ResumedAt reveals the shortcut. Falls back to a full run under
-// b when no checkpoint qualifies (nil or foreign store, unknown
+// RunSwitchedFrom is the switched re-execution on the VM executor b
+// (vm.Backend): when cks holds a checkpoint at or before pred's
+// instance in orig (the failing run's trace), the switched run forks
+// from it and re-executes only the suffix. The result — trace, outputs,
+// verdict-relevant state, step count — is byte-identical to a full
+// switched run; only Result.ResumedAt reveals the shortcut. Falls back
+// to a full run when no checkpoint qualifies (nil store, unknown
 // instance, no checkpoint before it, or a budget already spent at the
 // checkpoint).
-func RunSwitchedFrom(ctx context.Context, b interp.Backend, c *interp.Compiled, input []int64, cks interp.Checkpoints, orig *trace.Trace, pred trace.Instance, budget int) *interp.Result {
-	if b == nil {
-		b = interp.Tree
-	}
+func RunSwitchedFrom(ctx context.Context, b vm.Executor, c *interp.Compiled, input []int64, cks interp.Checkpoints, orig *trace.Trace, pred trace.Instance, budget int) *interp.Result {
 	opts := interp.Options{
 		Input:      input,
 		Switch:     &interp.SwitchPlan{Stmt: pred.Stmt, Occ: pred.Occ},
@@ -329,7 +311,7 @@ func (v *Verifier) switchedRun(pred trace.Instance, budget int) *interp.Result {
 	if v.Runner != nil {
 		return v.Runner.SwitchedRun(pred, budget)
 	}
-	return RunSwitchedFrom(v.Ctx, v.backend(), v.C, v.Input, v.Checkpoints, v.Orig, pred, budget)
+	return RunSwitchedFrom(v.Ctx, vm.Backend, v.C, v.Input, v.Checkpoints, v.Orig, pred, budget)
 }
 
 // VerifyDetailed is Verify without memoization, returning evidence.
@@ -392,7 +374,7 @@ func (v *Verifier) VerifyDetailed(req Request) *Result {
 		// Safe variant: any explicit dependence path between p' and u'.
 		// One closure per switched trace: walk the trace directly rather
 		// than building a graph that is discarded immediately.
-		if depgraph.TraceBackward(ep, ddg.Explicit, u).Has(pPrimeIdx) {
+		if depgraph.TraceBackward(ep, depgraph.Explicit, u).Has(pPrimeIdx) {
 			res.Verdict = ID
 		}
 		return res

@@ -6,6 +6,7 @@ import (
 	"eol/internal/align"
 	"eol/internal/interp"
 	"eol/internal/trace"
+	"eol/internal/vm"
 )
 
 // PerturbRequest asks whether use entry Use depends on the *definition*
@@ -64,7 +65,7 @@ func (v *Verifier) PerturbVerify(req PerturbRequest) *PerturbResult {
 		}
 		res.Reexecutions++
 		v.Verifications++
-		run := v.backend().Run(v.C, interp.Options{
+		run := vm.Backend.Run(v.C, interp.Options{
 			Input:      v.Input,
 			BuildTrace: true,
 			Perturb: &interp.PerturbPlan{

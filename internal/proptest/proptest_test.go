@@ -9,7 +9,7 @@ import (
 
 	"eol/internal/align"
 	"eol/internal/confidence"
-	"eol/internal/ddg"
+	"eol/internal/depgraph"
 	"eol/internal/interp"
 	"eol/internal/lang/ast"
 	"eol/internal/oracle"
@@ -116,9 +116,9 @@ func TestSliceOrderingProperty(t *testing.T) {
 		tr := r.Trace
 		cx := slicing.NewContext(c, tr)
 		for _, o := range tr.Outputs {
-			gDS := ddg.New(tr)
+			gDS := depgraph.New(tr)
 			ds := slicing.Dynamic(gDS, o.Entry)
-			gRS := ddg.New(tr)
+			gRS := depgraph.New(tr)
 			rs := cx.Relevant(gRS, o.Entry)
 			if !ds.Has(o.Entry) || !rs.Has(o.Entry) {
 				t.Fatal("slice missing its seed")
@@ -309,7 +309,7 @@ func TestConfidenceBounds(t *testing.T) {
 				correct = append(correct, o)
 			}
 		}
-		g := ddg.New(tr)
+		g := depgraph.New(tr)
 		an := confidence.New(c, g, nil, correct, wrong)
 		an.Compute()
 		for i := 0; i < tr.Len(); i++ {

@@ -1,21 +1,24 @@
 package proptest
 
-// Backend differential lane: the bytecode VM (internal/vm) must be
-// observationally identical to the tree-walking reference interpreter on
-// randomly generated programs — same Steps, same outputs, same trace
+// VM differential lane: the bytecode VM (internal/vm), which runs every
+// program, must be observationally identical to the tree-walking
+// reference interpreter (interp.Run) on randomly generated programs — same Steps, same outputs, same trace
 // entries, and, under budget exhaustion or mid-run cancellation, the
 // same error class and the same trace prefix at the cut point. The
 // hand-written differential suite lives in internal/vm; this lane runs
-// the generator over both backends so new language constructs cannot
+// the generator over both executors so new language constructs cannot
 // drift between them unnoticed.
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
+	"eol/internal/cfg"
 	"eol/internal/interp"
+	"eol/internal/trace"
 	"eol/internal/vm"
 )
 
@@ -31,7 +34,7 @@ func assertSameResult(t *testing.T, label string, tree, got *interp.Result) {
 	if tree.Rendered != got.Rendered {
 		t.Fatalf("%s: Rendered tree %q, vm %q", label, tree.Rendered, got.Rendered)
 	}
-	if !reflect.DeepEqual(tree.Outputs, got.Outputs) {
+	if !sameOutputs(tree.Outputs, got.Outputs) {
 		t.Fatalf("%s: Outputs tree %v, vm %v", label, tree.Outputs, got.Outputs)
 	}
 	if (tree.Err == nil) != (got.Err == nil) {
@@ -60,17 +63,23 @@ func assertSameResult(t *testing.T, label string, tree, got *interp.Result) {
 			t.Fatalf("%s: trace entry %d:\ntree %+v\nvm   %+v", label, i, *tree.Trace.At(i), *got.Trace.At(i))
 		}
 	}
-	if !reflect.DeepEqual(tree.Trace.Outputs, got.Trace.Outputs) {
+	if !sameOutputs(tree.Trace.Outputs, got.Trace.Outputs) {
 		t.Fatalf("%s: trace outputs tree %v, vm %v", label, tree.Trace.Outputs, got.Trace.Outputs)
 	}
 }
 
+// sameOutputs compares output records; a fork cut before its first
+// output holds an empty clipped slice where a full run holds nil.
+func sameOutputs(want, got []trace.Output) bool {
+	return len(want) == 0 && len(got) == 0 || reflect.DeepEqual(want, got)
+}
+
 // TestVMDifferentialProperty: random programs run identically on both
-// backends, in plain and trace mode. eachRandomRun's tree-walker run is
+// executors, in plain and trace mode. eachRandomRun's tree-walker run is
 // the oracle; the VM must reproduce it byte for byte.
 func TestVMDifferentialProperty(t *testing.T) {
 	eachRandomRun(t, func(t *testing.T, c *interp.Compiled, in []int64, r *interp.Result) {
-		plainTree := interp.Tree.Run(c, interp.Options{Input: in})
+		plainTree := interp.Run(c, interp.Options{Input: in})
 		plainVM := vm.Backend.Run(c, interp.Options{Input: in})
 		assertSameResult(t, "plain", plainTree, plainVM)
 
@@ -80,7 +89,7 @@ func TestVMDifferentialProperty(t *testing.T) {
 }
 
 // TestVMBudgetExhaustionProperty: for budgets below the full run length,
-// both backends stop with ErrBudget at exactly the budgeted step count,
+// both executors stop with ErrBudget at exactly the budgeted step count,
 // with identical trace prefixes at the cut point.
 func TestVMBudgetExhaustionProperty(t *testing.T) {
 	eachRandomRun(t, func(t *testing.T, c *interp.Compiled, in []int64, r *interp.Result) {
@@ -91,7 +100,7 @@ func TestVMBudgetExhaustionProperty(t *testing.T) {
 				continue
 			}
 			opts := interp.Options{Input: in, BuildTrace: true, StepBudget: budget}
-			tree := interp.Tree.Run(c, opts)
+			tree := interp.Run(c, opts)
 			got := vm.Backend.Run(c, opts)
 			if budget < r.Steps {
 				if !errors.Is(tree.Err, interp.ErrBudget) {
@@ -109,7 +118,7 @@ func TestVMBudgetExhaustionProperty(t *testing.T) {
 }
 
 // countdownCtx flips Err() non-nil after a fixed number of calls, so
-// both backends observe the cancellation at the same poll — provided
+// both executors observe the cancellation at the same poll — provided
 // they poll on the same step grid, which is the property under test.
 type countdownCtx struct {
 	context.Context
@@ -125,14 +134,14 @@ func (c *countdownCtx) Err() error {
 }
 
 // TestVMCtxCancelProperty: a deterministic mid-run cancellation cuts
-// both backends at the same step with the same error class and trace
+// both executors at the same step with the same error class and trace
 // prefix. Generated runs are usually shorter than one 1024-step poll
 // window, so polls=1 (cancel at the startup check) always fires and
 // larger counts exercise the on-grid polls when the run is long enough.
 func TestVMCtxCancelProperty(t *testing.T) {
 	eachRandomRun(t, func(t *testing.T, c *interp.Compiled, in []int64, r *interp.Result) {
 		for _, polls := range []int{1, 2, 3} {
-			tree := interp.Tree.Run(c, interp.Options{Input: in, BuildTrace: true, Ctx: &countdownCtx{left: polls}})
+			tree := interp.Run(c, interp.Options{Input: in, BuildTrace: true, Ctx: &countdownCtx{left: polls}})
 			got := vm.Backend.Run(c, interp.Options{Input: in, BuildTrace: true, Ctx: &countdownCtx{left: polls}})
 			if tree.Err != nil && !interp.IsCancellation(tree.Err) {
 				t.Fatalf("polls %d: tree err %v, want cancellation", polls, tree.Err)
@@ -165,7 +174,7 @@ func TestVMSwitchedForkProperty(t *testing.T) {
 			Switch:     &interp.SwitchPlan{Stmt: p.Stmt, Occ: p.Occ},
 			StepBudget: budget,
 		}
-		tree := interp.Tree.Run(c, opts)
+		tree := interp.Run(c, opts)
 
 		// Record a checkpointed VM original, then fork the switched run.
 		cks := vm.Backend.NewCheckpoints(8)
@@ -194,4 +203,62 @@ func TestVMSwitchedForkProperty(t *testing.T) {
 				tree.Steps, forked.Steps, forked.ResumedAt)
 		}
 	})
+}
+
+// TestCheckpointForkEquivalence is the checkpoint differential fuzz:
+// forked switched re-execution from a VM checkpoint store must be
+// byte-identical — steps, error, outputs and
+// the complete trace (entries, children, roots) — to the tree-walker's
+// full switched run, for a spread of predicate instances (first,
+// middle, last) of every generated program.
+func TestCheckpointForkEquivalence(t *testing.T) {
+	forks, falls := 0, 0
+	eachRandomRun(t, func(t *testing.T, c *interp.Compiled, in []int64, r *interp.Result) {
+		tr := r.Trace
+		var preds []int
+		for i := 0; i < tr.Len(); i++ {
+			if tr.At(i).Branch != cfg.None {
+				preds = append(preds, i)
+			}
+		}
+		if len(preds) == 0 {
+			return
+		}
+		// Record a checkpointed VM original, then fork the switched runs.
+		cks := vm.Backend.NewCheckpoints(8)
+		orig := vm.Backend.Run(c, interp.Options{Input: in, BuildTrace: true, Checkpoints: cks})
+		assertSameResult(t, "checkpointed original", r, orig)
+		for _, p := range []int{preds[0], preds[len(preds)/2], preds[len(preds)-1]} {
+			inst := tr.At(p).Inst
+			opts := interp.Options{
+				Input: in, BuildTrace: true,
+				Switch:     &interp.SwitchPlan{Stmt: inst.Stmt, Occ: inst.Occ},
+				StepBudget: 10*tr.Len() + 1000,
+			}
+			forked := vm.Backend.RunSwitchedFrom(cks, orig.Trace, c, opts)
+			if forked == nil { // no snapshot before the switch point
+				falls++
+				continue
+			}
+			forks++
+			label := fmt.Sprintf("switch %v from ck", inst)
+			full := interp.Run(c, opts)
+			if full.SwitchApplied != forked.SwitchApplied {
+				t.Fatalf("%s: SwitchApplied tree %v, vm fork %v", label, full.SwitchApplied, forked.SwitchApplied)
+			}
+			assertSameResult(t, label, full, forked)
+			for i := 0; i < full.Trace.Len(); i++ {
+				if !reflect.DeepEqual(full.Trace.Children(i), forked.Trace.Children(i)) {
+					t.Fatalf("%s: children(%d) tree %v, vm fork %v", label, i, full.Trace.Children(i), forked.Trace.Children(i))
+				}
+			}
+			if !reflect.DeepEqual(full.Trace.Roots(), forked.Trace.Roots()) {
+				t.Fatalf("%s: roots diverged", label)
+			}
+		}
+	})
+	if forks == 0 {
+		t.Fatal("no fork ever happened: the differential never exercised a checkpointed run")
+	}
+	t.Logf("forked %d switched runs (%d fell back to full runs)", forks, falls)
 }

@@ -44,10 +44,6 @@ func TestServeMatchesBatch(t *testing.T) {
 		{"default", Config{}},
 		{"sharded", Config{Corpus: corpus.Options{Shards: 3, VerifyWorkers: 2}}},
 		{"no run cache", Config{Corpus: corpus.Options{CacheSize: -1}}},
-		// Backends are byte-identical (docs/VM.md), so pinning either one
-		// explicitly must still reproduce the default batch bytes.
-		{"tree backend", Config{Corpus: corpus.Options{Backend: "tree"}}},
-		{"vm backend", Config{Corpus: corpus.Options{Backend: "vm"}}},
 	}
 	for _, c := range configs {
 		t.Run(c.name, func(t *testing.T) {

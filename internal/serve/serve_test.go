@@ -134,6 +134,8 @@ func TestInvalidRequests(t *testing.T) {
 		{"no expected", "/v1/corpus", `{"subjects":[{"source":"main(){}"}]}`},
 		{"unknown feature", "/v1/locate", `{"source":"main(){}","expected":[1],"features":{"warp_drive":"on"}}`},
 		{"bad feature mode", "/v1/corpus", `{"subjects":[{"source":"main(){}","expected":[1],"features":{"speculation":"maybe"}}]}`},
+		{"tree backend", "/v1/locate", `{"source":"main(){}","expected":[1],"backend":"tree"}`},
+		{"unknown default backend", "/v1/corpus", `{"defaults":{"backend":"quantum"},"subjects":[{"source":"main(){}","expected":[1]}]}`},
 	}
 	for _, c := range cases {
 		code, _, b := post(t, ts.URL+c.path, "", []byte(c.body))
@@ -152,6 +154,26 @@ func TestInvalidRequests(t *testing.T) {
 	}
 	if st.Admitted != 0 {
 		t.Errorf("invalid requests consumed %d session slots", st.Admitted)
+	}
+}
+
+// TestWireBackendField: the retired subject field "backend" is still
+// decoded for this schema version, and "vm" — the one executor —
+// changes nothing. Other values are rejected (TestInvalidRequests).
+func TestWireBackendField(t *testing.T) {
+	_, ts := startServer(t, Config{})
+	var req api.LocateRequest
+	if err := json.Unmarshal(locateBody(t, 0), &req); err != nil {
+		t.Fatal(err)
+	}
+	req.Backend = "vm"
+	body, err := json.Marshal(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, want := post(t, ts.URL+"/v1/locate", "", locateBody(t, 0))
+	if code, _, got := post(t, ts.URL+"/v1/locate", "", body); code != 200 || !bytes.Equal(got, want) {
+		t.Errorf("backend \"vm\": status %d, response differs from the default:\n%s", code, got)
 	}
 }
 

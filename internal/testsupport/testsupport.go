@@ -10,6 +10,7 @@ import (
 	"eol/internal/check"
 	"eol/internal/interp"
 	"eol/internal/lang/ast"
+	"eol/internal/vm"
 )
 
 // TB is the subset of testing.TB used here, so this package does not
@@ -33,7 +34,7 @@ func Compile(t TB, src string) *interp.Compiled {
 // runtime error.
 func Run(t TB, c *interp.Compiled, input []int64) *interp.Result {
 	t.Helper()
-	r := interp.Run(c, interp.Options{Input: input, BuildTrace: true})
+	r := vm.Backend.Run(c, interp.Options{Input: input, BuildTrace: true})
 	if r.Err != nil {
 		t.Fatalf("run: %v", r.Err)
 	}

@@ -8,7 +8,7 @@ import (
 // Prefix is a handle on the first n entries of a trace, from which
 // suffix-extending forks can be created in O(prefix) once and O(1)
 // allocations per fork thereafter. It is the trace-side half of
-// checkpointed re-execution (docs/CHECKPOINT.md): the interpreter
+// checkpointed re-execution (docs/CHECKPOINT.md): the VM
 // captures a Prefix at each checkpoint of the failing run, and every
 // switched run forked from that checkpoint starts from Fork() instead of
 // re-appending the whole unswitched prefix.
@@ -28,11 +28,14 @@ type Prefix struct {
 }
 
 // PrefixAt returns a fork handle on the first n entries of t. The trace
-// must itself be unforked (one level of sharing keeps every index
+// must be lazy (NewLazy) and itself unforked (one level of sharing keeps every index
 // meaning "offset into the one original failing run").
 func (t *Trace) PrefixAt(n int) *Prefix {
 	if t.base != nil {
 		panic("trace: PrefixAt on a forked trace")
+	}
+	if !t.lazy {
+		panic("trace: PrefixAt on an eager trace")
 	}
 	if n < 0 || n > len(t.entries) {
 		panic(fmt.Sprintf("trace: PrefixAt(%d) out of range [0,%d]", n, len(t.entries)))
@@ -87,31 +90,26 @@ func (p *Prefix) build() {
 // instead of scribbling on the base trace; the prefix entries themselves
 // must be treated as read-only through the fork (Trace.At documents
 // this).
+//
+// The base must be a lazy trace (NewLazy), as the VM records. Forks
+// stay lazy: the suffix run appends without index maintenance and calls
+// Finish; prefix instances resolve through the base trace's complete
+// row table, and the children prototype is copied only once, into
+// Finish's full-size array (lazy.go) — the fork itself allocates no
+// O(prefix) state.
 func (p *Prefix) Fork() *Trace {
 	p.once.Do(p.build)
 	t := p.t
 	f := &Trace{
-		base:      t.entries[:p.n:p.n],
-		Outputs:   t.Outputs[:p.nOuts:p.nOuts],
-		rootsList: t.rootsList[:p.nRoots:p.nRoots],
+		base:         t.entries[:p.n:p.n],
+		Outputs:      t.Outputs[:p.nOuts:p.nOuts],
+		rootsList:    t.rootsList[:p.nRoots:p.nRoots],
+		lazy:         true,
+		baseRows:     t.own,
+		baseChildren: p.proto,
 	}
-	if t.lazy {
-		// Forks of a lazy base stay lazy: the suffix run appends without
-		// index maintenance and calls Finish; prefix instances resolve
-		// through the base trace's complete row table, and the children
-		// prototype is copied only once, into Finish's full-size array
-		// (lazy.go) — the fork itself allocates no O(prefix) state.
-		f.lazy = true
-		f.baseRows = t.own
-		f.baseChildren = p.proto
-		if t.anc != nil && t.anc.in == nil {
-			f.baseAnc = t.anc
-		}
-	} else {
-		f.children = make([][]int, p.n)
-		copy(f.children, p.proto)
-		f.instIdx = map[Instance]int{}
-		f.baseIdx = t.instIdx
+	if t.anc != nil && t.anc.in == nil {
+		f.baseAnc = t.anc
 	}
 	return f
 }

@@ -2,7 +2,7 @@ package trace
 
 import "sort"
 
-// Lazily built traces: the optimized VM backend (internal/vm) appends
+// Lazily built traces: the bytecode VM (internal/vm) appends
 // tens of thousands of entries per run, and the eager per-append index
 // maintenance — a children row append, an instance-map insert — is the
 // dominant cost of trace construction. A lazy trace records entries
@@ -37,14 +37,14 @@ type lazyRows struct {
 // NewLazy creates an empty trace with deferred index maintenance:
 // Append records the entry only, and the caller must invoke Finish once
 // the run completes, before any index query. The eager New path remains
-// the reference; this is the construction mode of the VM backend
+// the reference; this is the construction mode of the VM
 // (docs/VM.md).
 func NewLazy() *Trace {
 	return &Trace{lazy: true}
 }
 
 // Reserve pre-allocates capacity for at least n further Append calls.
-// The VM backend calls it on forked suffix traces, where the original
+// The VM calls it on forked suffix traces, where the original
 // run's length is a good estimate of the switched suffix; it is a pure
 // capacity hint and never changes observable state.
 func (t *Trace) Reserve(n int) {
@@ -57,8 +57,8 @@ func (t *Trace) Reserve(n int) {
 }
 
 // AppendSlot extends a lazy trace by one zero entry and returns it for
-// in-place initialization, together with its index. This is the VM
-// backend's emission path: filling a handful of integer fields in the
+// in-place initialization, together with its index. This is the VM's
+// emission path: filling a handful of integer fields in the
 // slot skips the 100-byte entry copy (and its pointer write barriers)
 // that Append pays. Slots inside reserved capacity are already zero —
 // make and slice growth both hand out zeroed memory, and entries are

@@ -114,18 +114,14 @@ type Trace struct {
 	Outputs []Output
 
 	// children[i] lists the trace indices whose Parent == i, in order.
-	// Roots (Parent == -1) are in rootsList. Unlike entries, children
-	// covers base and suffix uniformly (fork pre-fills the prefix rows
-	// with capacity-clipped cuts of the base trace's rows).
+	// Roots (Parent == -1) are in rootsList. Forks leave children nil
+	// and answer through baseChildren and suffKids (see lazy.go).
 	children  [][]int
 	rootsList []int
 
-	// instIdx maps an Instance to its trace index (suffix entries only on
-	// forked traces). baseIdx, set by Fork, is the *complete* base
-	// trace's index; a hit is valid only when the index falls inside the
-	// shared prefix.
+	// instIdx maps an Instance to its trace index (eager traces only;
+	// lazy traces use their instance rows, see lazy.go).
 	instIdx map[Instance]int
-	baseIdx map[Instance]int
 
 	// anc is the lazily built ancestor index; see Ancestry.
 	anc *Ancestry
@@ -243,12 +239,6 @@ func (t *Trace) FindInstance(inst Instance) int {
 		return t.findLazy(inst)
 	}
 	if i, ok := t.instIdx[inst]; ok {
-		return i
-	}
-	// A base-index hit is only valid inside the shared prefix: the base
-	// trace continued past the fork point, and those later instances did
-	// not (necessarily) execute in this trace.
-	if i, ok := t.baseIdx[inst]; ok && i < len(t.base) {
 		return i
 	}
 	return -1

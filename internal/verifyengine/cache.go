@@ -27,18 +27,11 @@ const DefaultCacheSize = 256
 // run it replaces, so the cached value is independent of whether — and
 // from which checkpoint — it was produced. Adding a checkpoint component
 // would only split identical entries and lower the hit rate.
-//
-// The backend NAME does enter the key, even though backends are
-// byte-identical by contract: the cache is exactly the machinery that
-// would mask a divergence between them (a vm run served to a tree
-// verifier would hide the very bug the differential lanes exist to
-// catch), so cross-backend sharing is deliberately forgone.
 type RunKey struct {
-	Prog    uint64 // hash of the program source
-	Input   uint64 // hash of the failing input vector
-	Backend string // executing backend name ("tree", "vm")
-	Pred    trace.Instance
-	Budget  int
+	Prog   uint64 // hash of the program source
+	Input  uint64 // hash of the failing input vector
+	Pred   trace.Instance
+	Budget int
 }
 
 // CacheStats is a point-in-time snapshot of a RunCache's counters.

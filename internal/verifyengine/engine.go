@@ -48,6 +48,7 @@ import (
 	"eol/internal/interp"
 	"eol/internal/obs"
 	"eol/internal/trace"
+	"eol/internal/vm"
 )
 
 // Config sizes one Engine.
@@ -164,10 +165,8 @@ type Engine struct {
 	reachFilter func(implicit.Request) bool
 	ctx         context.Context
 
-	progHash    uint64
-	inputHash   uint64
-	backend     interp.Backend
-	backendName string
+	progHash  uint64
+	inputHash uint64
 
 	rec *obs.Recorder
 
@@ -216,11 +215,6 @@ func New(base *implicit.Verifier, cfg Config) *Engine {
 	}
 	e.progHash = hashString(base.C.Src)
 	e.inputHash = hashInts(base.Input)
-	e.backend = base.Backend
-	if e.backend == nil {
-		e.backend = interp.Tree
-	}
-	e.backendName = e.backend.Name()
 	if base.Orig != nil {
 		base.Orig.Ancestry()
 	}
@@ -256,7 +250,7 @@ func (e *Engine) switchedRunOnce(pred trace.Instance, budget int) *interp.Result
 	if e.cache == nil {
 		return e.runSwitched(pred, budget)
 	}
-	key := RunKey{Prog: e.progHash, Input: e.inputHash, Backend: e.backendName, Pred: pred, Budget: budget}
+	key := RunKey{Prog: e.progHash, Input: e.inputHash, Pred: pred, Budget: budget}
 	res, out := e.cache.getOrRun(key, func() *interp.Result {
 		r := e.runSwitched(pred, budget)
 		if r.Trace != nil {
@@ -298,7 +292,7 @@ func (e *Engine) runSwitched(pred trace.Instance, budget int) *interp.Result {
 // was taken. It charges nothing: the caller decides (demand runs charge
 // immediately, speculative runs on claim).
 func (e *Engine) execSwitched(ctx context.Context, pred trace.Instance, budget int) *interp.Result {
-	return implicit.RunSwitchedFrom(ctx, e.backend, e.base.C, e.base.Input, e.base.Checkpoints, e.base.Orig, pred, budget)
+	return implicit.RunSwitchedFrom(ctx, vm.Backend, e.base.C, e.base.Input, e.base.Checkpoints, e.base.Orig, pred, budget)
 }
 
 // chargeRun accounts one switched re-execution: the run itself plus the
@@ -359,7 +353,7 @@ func (e *Engine) Speculate(reqs []implicit.Request) int {
 			continue
 		}
 		pred := e.base.Orig.At(req.Pred).Inst
-		key := RunKey{Prog: e.progHash, Input: e.inputHash, Backend: e.backendName, Pred: pred, Budget: budget}
+		key := RunKey{Prog: e.progHash, Input: e.inputHash, Pred: pred, Budget: budget}
 		commit, ok := e.cache.BeginSpeculative(key)
 		if !ok {
 			continue

@@ -5,24 +5,39 @@ import (
 	"eol/internal/trace"
 )
 
-// Backend is the bytecode VM execution backend. It satisfies the same
-// byte-identity contract as interp.Tree (see interp.Backend); the
-// compiled bytecode is cached on the *interp.Compiled, so repeated runs
-// of one program lower it exactly once.
-var Backend interp.Backend = vmBackend{}
+// Backend is the executor every program run goes through: the failing
+// run, profile and reference runs, and every switched or perturbed
+// re-execution. It honours the interp run contract byte for byte —
+// the same trace entries, outputs, rendered text, step counts, runtime
+// error positions, and budget and cancellation steps as interp.Run,
+// which the differential tests hold it to. The compiled bytecode is
+// cached on the *interp.Compiled, so repeated runs of one program lower
+// it exactly once.
+var Backend Executor
 
-type vmBackend struct{}
+// Executor runs MiniC programs on the bytecode VM. Its zero value is
+// ready to use; Backend is the one instance callers need.
+type Executor struct{}
 
-func (vmBackend) Name() string { return "vm" }
-
-func (vmBackend) Run(c *interp.Compiled, opts interp.Options) *interp.Result {
+// Run executes the program under opts. A traced run with a *Store in
+// opts.Checkpoints captures checkpoints into it.
+func (Executor) Run(c *interp.Compiled, opts interp.Options) *interp.Result {
 	return run(c, opts)
 }
 
-func (vmBackend) NewCheckpoints(max int) interp.Checkpoints { return NewStore(max) }
+// NewCheckpoints returns an empty checkpoint store bounded to max
+// snapshots (<= 0 means DefaultCheckpoints), for use as
+// Options.Checkpoints on a traced run.
+func (Executor) NewCheckpoints(max int) *Store { return NewStore(max) }
 
-func (vmBackend) RunSwitchedFrom(cks interp.Checkpoints, orig *trace.Trace, c *interp.Compiled, opts interp.Options) *interp.Result {
-	st, _ := cks.(*Store) // a foreign (tree) store falls back to a full run
+// RunSwitchedFrom is the checkpoint-accelerated switched run: it forks
+// from the nearest snapshot in cks at or before the switched predicate
+// instance in orig and re-executes only the suffix. It returns nil when
+// no snapshot applies (no *Store, no switch plan, predicate not in the
+// trace, no snapshot before it, or a budget the fork could not honor);
+// the caller then falls back to a full Run.
+func (Executor) RunSwitchedFrom(cks interp.Checkpoints, orig *trace.Trace, c *interp.Compiled, opts interp.Options) *interp.Result {
+	st, _ := cks.(*Store)
 	if st == nil || orig == nil || opts.Switch == nil {
 		return nil
 	}

@@ -5,39 +5,44 @@ import (
 	"eol/internal/trace"
 )
 
-// Checkpointed re-execution on VM state. Where the tree-walker must
-// record an explicit resume path and rebuild its Go call stack by
-// recursive descent (interp/resume.go), the VM's execution state is
-// already explicit: a snapshot is the pc, the frozen frame stack, the
+// Checkpointed re-execution (docs/CHECKPOINT.md): capture snapshots
+// of the VM state during one traced run, then fork switched runs that
+// re-execute only the suffix after a snapshot. The VM's execution state
+// is explicit, so a snapshot is the pc, the frozen frame stack, the
 // call records and the (empty-at-capture) operand stack, and a fork is
-// "restore and jump". The capture policy — opCheck poll points before
-// every predicate's opBegin, fired at exactly the statements where the
-// tree-walker polls maybeCheckpoint, with the same stride-doubling /
-// thin-on-overflow schedule — is deliberately identical, so both
-// backends capture at the same step counts and Nearest picks the same
-// fork points (CheckpointStats.Bytes differs: the representations do).
+// "restore and jump".
 //
-// Unlike the tree-walker, eligibility needs no resume-path tracking:
-// any opCheck in main's frame is a valid snapshot point by
-// construction. The main-frame restriction is kept so the two backends
-// capture identically; see docs/VM.md.
+// Capture points are the opCheck instructions the compiler emits
+// before every predicate's opBegin, taken only while main's frame is on
+// top, on a deterministic stride-doubling schedule (see Store). Any
+// opCheck would be a valid snapshot point; the main-frame restriction
+// keeps the schedule — and so Stats and the fork points — unchanged
+// from the one the repository has always recorded.
+
+// DefaultCheckpoints is the checkpoint-count bound when none is given:
+// enough that the expected suffix is a small fraction of the trace,
+// small enough that the retained state stays far below one extra trace.
+const DefaultCheckpoints = 64
 
 // checkpoint is one VM snapshot, immutable once captured and safe for
 // concurrent forks (frames are frozen copy-on-write).
 type checkpoint struct {
-	steps   int
-	inPos   int
-	nextAct int
-	occ     []int
-	frames  []*frame
-	calls   []callRec
-	stack   []int64 // operand stack (always empty at statement level)
-	pc      int32   // resume point: just past the opCheck that fired
+	steps    int
+	inPos    int
+	nextAct  int
+	occ      []int
+	frames   []*frame
+	calls    []callRec
+	stack    []int64 // operand stack (always empty at statement level)
+	pc       int32   // resume point: just past the opCheck that fired
 	rendered string
-	prefix  *trace.Prefix
+	prefix   *trace.Prefix
 }
 
-// approxBytes mirrors the tree store's estimate: private copies only.
+// approxBytes estimates the state retained by this checkpoint: private
+// copies only — frozen array elements are shared with the base run (and
+// other checkpoints) and the trace prefix is shared by construction, so
+// neither is charged here.
 func (ck *checkpoint) approxBytes() int64 {
 	n := int64(len(ck.occ))*8 + int64(len(ck.calls))*24 + int64(len(ck.stack))*8 + int64(len(ck.rendered)) + 256
 	for _, fr := range ck.frames {
@@ -47,12 +52,13 @@ func (ck *checkpoint) approxBytes() int64 {
 }
 
 // Store collects VM checkpoints during one traced run and answers
-// nearest-checkpoint queries for forks. The policy is a verbatim
-// mirror of interp.CheckpointStore: capture at every eligible opCheck
-// once the step counter passes the next mark; past max, drop every
-// second checkpoint and double the stride. A store is bound to a
-// single run; afterwards Nearest/Stats/Len are read-only and safe for
-// concurrent use.
+// nearest-checkpoint queries for forks. The policy: capture at every
+// eligible opCheck once the step counter passes the next mark; past
+// max, drop every second checkpoint and double the stride. The result
+// is at most max checkpoints roughly evenly spaced over the run, chosen
+// identically on every execution (no clocks, no randomness). A store is
+// bound to a single run; afterwards Nearest/Stats/Len are read-only and
+// safe for concurrent use.
 type Store struct {
 	max    int
 	stride int
@@ -65,10 +71,10 @@ type Store struct {
 }
 
 // NewStore returns a store bounded to max checkpoints (<= 0 means
-// interp.DefaultCheckpoints).
+// DefaultCheckpoints).
 func NewStore(max int) *Store {
 	if max <= 0 {
-		max = interp.DefaultCheckpoints
+		max = DefaultCheckpoints
 	}
 	return &Store{max: max, stride: 1}
 }

@@ -1,24 +1,24 @@
-// Package vm is the bytecode execution backend for MiniC: a compiler
-// that lowers a checked program to a flat instruction stream plus a
-// dispatch-loop virtual machine that executes it with inline tracing.
+// Package vm is the MiniC executor: a compiler that lowers a checked
+// program to a flat instruction stream plus a dispatch-loop virtual
+// machine that executes it with inline tracing. Every program run in
+// the repository goes through it (Backend).
 //
-// The VM implements exactly the same observable semantics as the
-// tree-walking reference interpreter (internal/interp), which remains
-// the differential oracle: for any program, input and options the two
-// backends produce byte-identical traces (entries, step numbering,
-// defs/uses/predicates/outputs), rendered text, step counts,
-// RuntimeError positions and budget/cancellation semantics. What the VM
-// removes is the per-step interpretation overhead — AST type switches,
-// the per-identifier symbol map lookups, and the per-statement CFG node
-// lookups are all resolved at compile time into instruction operands
-// and the side tables below. See docs/VM.md for the instruction set and
-// the trace-emission contract.
+// The VM implements exactly the observable semantics of the
+// tree-walking reference interpreter (interp.Run), which the
+// differential tests in this package and internal/proptest hold it to:
+// for any program, input and options the two produce byte-identical
+// traces (entries, step numbering, defs/uses/predicates/outputs),
+// rendered text, step counts, RuntimeError positions and
+// budget/cancellation semantics. What the VM removes is the per-step
+// interpretation overhead — AST type switches, the per-identifier
+// symbol map lookups, and the per-statement CFG node lookups are all
+// resolved at compile time into instruction operands and the side
+// tables below. See docs/VM.md for the instruction set and the
+// trace-emission contract.
 //
-// Checkpointing is also reimplemented on VM state: where the
-// tree-walker must record an explicit resume path and rebuild its Go
-// call stack by recursive descent (interp/resume.go), a VM snapshot is
-// just the pc, the frame stack and the call records — forking is
-// "restore and jump". See checkpoint.go.
+// The VM also owns checkpointed re-execution: a snapshot is just the
+// pc, the frame stack and the call records, and forking is "restore
+// and jump". See checkpoint.go.
 package vm
 
 import (
@@ -31,9 +31,7 @@ import (
 
 // opcode enumerates the VM instruction set. The machine is stack-based:
 // expression operands live on a per-run operand stack, while variables
-// live in slot-indexed activation frames (the same copy-on-write frame
-// representation the tree-walker uses, so checkpoint sharing works
-// identically).
+// live in slot-indexed copy-on-write activation frames (frame.go).
 type opcode uint8
 
 const (

@@ -6,12 +6,13 @@ import (
 	"eol/internal/trace"
 )
 
-// The VM uses the same activation-frame representation as the
-// tree-walker: dense slot-indexed cell slices with copy-on-write
-// sharing for checkpoints. The types are duplicated here (they are
-// unexported in internal/interp) but the freeze/thaw discipline is
-// identical, so a VM checkpoint shares frames with the continuing run
-// exactly the way a tree checkpoint does.
+// Activation frames: dense slot-indexed cell slices, shared
+// copy-on-write with checkpoints. Capturing a checkpoint freezes every
+// live frame (frozen = true, all array slots marked shared) and stores
+// the pointers. A frozen frame is immutable — both the continuing
+// original run and any forked run thaw (clone) it before the first
+// mutation, so concurrent forks share one snapshot without
+// synchronization.
 
 type cell struct {
 	val int64

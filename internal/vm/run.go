@@ -164,8 +164,6 @@ func run(c *interp.Compiled, opts interp.Options) *interp.Result {
 	if opts.BuildTrace {
 		m.tr = trace.NewLazy()
 		m.res.Trace = m.tr
-		// Only a VM store can capture here; a foreign (tree) store is
-		// left untouched.
 		if st, ok := opts.Checkpoints.(*Store); ok && st != nil {
 			st.bind(m.tr)
 			m.cks = st
@@ -192,8 +190,14 @@ func run(c *interp.Compiled, opts interp.Options) *interp.Result {
 	return m.res
 }
 
-// runFrom forks a run from a VM checkpoint, executing only the suffix;
-// the VM analogue of interp.RunFrom (same contract, same caveats).
+// runFrom forks a run from a checkpoint and executes only the suffix.
+// The result is byte-identical — trace, outputs, rendered text, step
+// count, error — to a full run with the same Options, provided c is the
+// program the checkpoint was captured from, opts.Input is the original
+// input, any Switch/Perturb plan targets an instance at or after the
+// checkpoint, and opts.StepBudget exceeds the checkpoint's step count
+// (RunSwitchedFrom checks the last three). The fork is always traced;
+// opts.BuildTrace, opts.Rec and opts.Checkpoints are ignored.
 func runFrom(c *interp.Compiled, ck *checkpoint, opts interp.Options) *interp.Result {
 	m := &machine{
 		p:         programOf(c),
@@ -244,8 +248,8 @@ func runFrom(c *interp.Compiled, ck *checkpoint, opts interp.Options) *interp.Re
 	return m.res
 }
 
-// execTrapped runs the dispatch loop with the same abort handling as
-// the tree-walker's run().
+// execTrapped runs the dispatch loop, turning a runtime-error abort
+// into Result.Err.
 func (m *machine) execTrapped(pc int32) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -4,18 +4,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
 	"eol/internal/interp"
-	"eol/internal/testsupport"
 	"eol/internal/trace"
 )
 
 // diffPrograms covers every statement and expression form, both error
-// and error-free, so the backend comparison exercises each opcode path.
+// and error-free, so the comparison against the tree-walking reference
+// exercises each opcode path.
 var diffPrograms = map[string]string{
 	"arith": `
 func main() {
@@ -183,8 +182,8 @@ var diffInputs = [][]int64{
 	{-4, 99, 2, 0, 1, 64},
 }
 
-// compareResults asserts byte-identity of two results, the heart of the
-// backend contract: steps, outputs, rendered text, applied plans, error
+// compareResults asserts byte-identity of a reference (tree) and a VM
+// result, the heart of the run contract: steps, outputs, rendered text, applied plans, error
 // (position, statement and message), and every trace entry.
 func compareResults(t *testing.T, want, got *interp.Result) {
 	t.Helper()
@@ -201,11 +200,17 @@ func compareResults(t *testing.T, want, got *interp.Result) {
 		t.Fatalf("applied flags: tree (%v,%v), vm (%v,%v)",
 			want.SwitchApplied, want.PerturbApplied, got.SwitchApplied, got.PerturbApplied)
 	}
-	if !reflect.DeepEqual(want.Outputs, got.Outputs) {
+	if !sameOutputs(want.Outputs, got.Outputs) {
 		t.Fatalf("Outputs:\ntree %v\nvm   %v", want.Outputs, got.Outputs)
 	}
 	compareErr(t, want.Err, got.Err)
 	compareTraces(t, want.Trace, got.Trace)
+}
+
+// sameOutputs compares output records; a fork cut before its first
+// output holds an empty clipped slice where a full run holds nil.
+func sameOutputs(want, got []trace.Output) bool {
+	return len(want) == 0 && len(got) == 0 || reflect.DeepEqual(want, got)
 }
 
 func compareErr(t *testing.T, want, got error) {
@@ -243,15 +248,21 @@ func compareTraces(t *testing.T, want, got *trace.Trace) {
 		if !reflect.DeepEqual(*want.At(i), *got.At(i)) {
 			t.Fatalf("entry %d:\ntree %+v\nvm   %+v", i, *want.At(i), *got.At(i))
 		}
+		if !reflect.DeepEqual(want.Children(i), got.Children(i)) {
+			t.Fatalf("children(%d): tree %v, vm %v", i, want.Children(i), got.Children(i))
+		}
 	}
-	if !reflect.DeepEqual(want.Outputs, got.Outputs) {
+	if !reflect.DeepEqual(want.Roots(), got.Roots()) {
+		t.Fatalf("roots: tree %v, vm %v", want.Roots(), got.Roots())
+	}
+	if !sameOutputs(want.Outputs, got.Outputs) {
 		t.Fatalf("trace Outputs:\ntree %v\nvm   %v", want.Outputs, got.Outputs)
 	}
 }
 
 func runBoth(t *testing.T, c *interp.Compiled, opts interp.Options) (*interp.Result, *interp.Result) {
 	t.Helper()
-	tree := interp.Tree.Run(c, opts)
+	tree := interp.Run(c, opts)
 	vm := Backend.Run(c, opts)
 	return tree, vm
 }
@@ -275,13 +286,14 @@ func TestDifferentialPrograms(t *testing.T) {
 }
 
 // TestDifferentialSwitch flips every predicate instance of every traced
-// run (capped) on both backends and compares the switched results.
+// run (capped) on the VM and the reference and compares the switched
+// results.
 func TestDifferentialSwitch(t *testing.T) {
 	for name, src := range diffPrograms {
 		t.Run(name, func(t *testing.T) {
 			c := interp.MustCompile(src)
 			input := diffInputs[3]
-			orig := interp.Tree.Run(c, interp.Options{Input: input, BuildTrace: true})
+			orig := interp.Run(c, interp.Options{Input: input, BuildTrace: true})
 			n := 0
 			for i := 0; i < orig.Trace.Len() && n < 12; i++ {
 				e := orig.Trace.At(i)
@@ -301,11 +313,12 @@ func TestDifferentialSwitch(t *testing.T) {
 	}
 }
 
-// TestDifferentialPerturb perturbs defining instances on both backends.
+// TestDifferentialPerturb perturbs defining instances on the VM and the
+// reference.
 func TestDifferentialPerturb(t *testing.T) {
 	c := interp.MustCompile(diffPrograms["switchable"])
 	input := []int64{9}
-	orig := interp.Tree.Run(c, interp.Options{Input: input, BuildTrace: true})
+	orig := interp.Run(c, interp.Options{Input: input, BuildTrace: true})
 	n := 0
 	for i := 0; i < orig.Trace.Len() && n < 10; i++ {
 		e := orig.Trace.At(i)
@@ -325,7 +338,7 @@ func TestDifferentialPerturb(t *testing.T) {
 // and trace prefix at the cut.
 func TestDifferentialBudget(t *testing.T) {
 	c := interp.MustCompile(diffPrograms["loops"])
-	full := interp.Tree.Run(c, interp.Options{BuildTrace: true})
+	full := interp.Run(c, interp.Options{BuildTrace: true})
 	if full.Err != nil {
 		t.Fatal(full.Err)
 	}
@@ -344,7 +357,7 @@ func TestDifferentialBudget(t *testing.T) {
 }
 
 // countdownCtx is a deterministic cancellation probe: Err() flips
-// non-nil after a fixed number of calls, so both backends observe the
+// non-nil after a fixed number of calls, so both executors observe the
 // cancellation at the same poll — provided they poll on the same step
 // grid, which is exactly what the test pins.
 type countdownCtx struct {
@@ -370,9 +383,9 @@ func main() {
 	print(s);
 }`)
 	for _, polls := range []int{1, 2, 3, 4} {
-		// Each backend gets its own countdown so both see the identical
+		// Each executor gets its own countdown so both see the identical
 		// Err() sequence: one startup check plus one per on-grid poll.
-		tree := interp.Tree.Run(c, interp.Options{BuildTrace: true, Ctx: &countdownCtx{left: polls}})
+		tree := interp.Run(c, interp.Options{BuildTrace: true, Ctx: &countdownCtx{left: polls}})
 		vm := Backend.Run(c, interp.Options{BuildTrace: true, Ctx: &countdownCtx{left: polls}})
 		if tree.Err == nil != (vm.Err == nil) {
 			t.Fatalf("polls %d: tree err %v, vm err %v", polls, tree.Err, vm.Err)
@@ -384,150 +397,87 @@ func main() {
 	}
 }
 
-// TestDifferentialRandom fuzzes generated programs through both
-// backends in plain and trace mode.
-func TestDifferentialRandom(t *testing.T) {
-	for seed := int64(0); seed < 30; seed++ {
-		rnd := rand.New(rand.NewSource(seed))
-		src := testsupport.RandomProgram(rnd, testsupport.GenConfig{})
-		input := testsupport.RandomInput(rnd, 8)
-		c, err := interp.Compile(src)
-		if err != nil {
-			t.Fatalf("seed %d: %v\n%s", seed, err, src)
-		}
-		for _, traced := range []bool{false, true} {
-			tree, vm := runBoth(t, c, interp.Options{Input: input, BuildTrace: traced})
-			compareResults(t, tree, vm)
-		}
-	}
-}
-
 // TestCheckpointFork pins the VM's pc/frame-stack checkpoints: a
 // switched fork from every retained snapshot must be byte-identical to
-// a full switched run, and the capture schedule must match the
-// tree-walker's (same capture step counts, same retained count).
+// a full switched run on the tree-walking reference.
 func TestCheckpointFork(t *testing.T) {
 	c := interp.MustCompile(diffPrograms["switchable"])
 	input := []int64{40}
 
-	treeCks := interp.Tree.NewCheckpoints(8)
-	treeRun := interp.Tree.Run(c, interp.Options{Input: input, BuildTrace: true, Checkpoints: treeCks})
-	vmCks := Backend.NewCheckpoints(8)
-	vmRun := Backend.Run(c, interp.Options{Input: input, BuildTrace: true, Checkpoints: vmCks})
-	compareResults(t, treeRun, vmRun)
+	cks := Backend.NewCheckpoints(8)
+	orig := Backend.Run(c, interp.Options{Input: input, BuildTrace: true, Checkpoints: cks})
+	compareResults(t, interp.Run(c, interp.Options{Input: input, BuildTrace: true}), orig)
 
-	ts, vs := treeCks.Stats(), vmCks.Stats()
-	if ts.Count != vs.Count || ts.Captured != vs.Captured || ts.Thinned != vs.Thinned {
-		t.Fatalf("capture schedules diverge: tree %+v, vm %+v", ts, vs)
-	}
-
-	// Fork every switchable predicate instance from the VM store and
-	// check against both a full VM switched run and the tree fork.
 	forks := 0
-	for i := 0; i < vmRun.Trace.Len(); i++ {
-		e := vmRun.Trace.At(i)
+	for i := 0; i < orig.Trace.Len(); i++ {
+		e := orig.Trace.At(i)
 		if e.Branch == 0 {
 			continue
 		}
 		plan := &interp.SwitchPlan{Stmt: e.Inst.Stmt, Occ: e.Inst.Occ}
 		opts := interp.Options{Input: input, BuildTrace: true, Switch: plan}
-		vmFork := Backend.RunSwitchedFrom(vmCks, vmRun.Trace, c, opts)
-		treeFork := interp.Tree.RunSwitchedFrom(treeCks, treeRun.Trace, c, opts)
-		if (vmFork == nil) != (treeFork == nil) {
-			t.Fatalf("fork availability diverges at %v: tree %v, vm %v", plan, treeFork != nil, vmFork != nil)
+		fork := Backend.RunSwitchedFrom(cks, orig.Trace, c, opts)
+		if (fork == nil) != (cks.Nearest(i) == nil) {
+			t.Fatalf("%v: fork availability %v disagrees with Nearest", plan, fork != nil)
 		}
-		if vmFork == nil {
+		if fork == nil {
 			continue
 		}
 		forks++
-		compareResults(t, treeFork, vmFork)
-		full := Backend.Run(c, opts)
-		full.ResumedAt = vmFork.ResumedAt // the only legitimate difference
-		compareResults(t, full, vmFork)
+		full := interp.Run(c, opts)
+		full.ResumedAt = fork.ResumedAt // the only legitimate difference
+		compareResults(t, full, fork)
 	}
 	if forks == 0 {
 		t.Fatal("no forks exercised")
 	}
 }
 
-// TestForeignCheckpointStore: handing a store to the other backend must
-// be a no-op (run completes, nothing captured, forks decline).
-func TestForeignCheckpointStore(t *testing.T) {
-	c := interp.MustCompile(diffPrograms["switchable"])
-	input := []int64{12}
-
-	treeStore := interp.Tree.NewCheckpoints(4)
-	res := Backend.Run(c, interp.Options{Input: input, BuildTrace: true, Checkpoints: treeStore})
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if treeStore.Len() != 0 {
-		t.Fatalf("VM run captured into a tree store: %d", treeStore.Len())
-	}
-	plan := &interp.SwitchPlan{Stmt: 1, Occ: 1}
-	if r := Backend.RunSwitchedFrom(treeStore, res.Trace, c, interp.Options{Input: input, BuildTrace: true, Switch: plan}); r != nil {
-		t.Fatal("VM fork accepted a tree store")
-	}
-
-	vmStore := Backend.NewCheckpoints(4)
-	res = interp.Tree.Run(c, interp.Options{Input: input, BuildTrace: true, Checkpoints: vmStore})
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if vmStore.Len() != 0 {
-		t.Fatalf("tree run captured into a VM store: %d", vmStore.Len())
-	}
-	if r := interp.Tree.RunSwitchedFrom(vmStore, res.Trace, c, interp.Options{Input: input, BuildTrace: true, Switch: plan}); r != nil {
-		t.Fatal("tree fork accepted a VM store")
-	}
-}
-
 // TestDifferentialForkBudgetAndCancel exercises forked runs under tight
-// budgets and countdown cancellation on both backends.
+// budgets and countdown cancellation: a budget exhausted mid-suffix
+// stops on the same step as a full reference run, a budget already
+// spent at the checkpoint declines the fork, and a fork polls its
+// context on its first suffix step.
 func TestDifferentialForkBudgetAndCancel(t *testing.T) {
 	c := interp.MustCompile(diffPrograms["switchable"])
 	input := []int64{60}
 
-	treeCks := interp.Tree.NewCheckpoints(8)
-	treeRun := interp.Tree.Run(c, interp.Options{Input: input, BuildTrace: true, Checkpoints: treeCks})
-	vmCks := Backend.NewCheckpoints(8)
-	vmRun := Backend.Run(c, interp.Options{Input: input, BuildTrace: true, Checkpoints: vmCks})
+	cks := Backend.NewCheckpoints(8)
+	orig := Backend.Run(c, interp.Options{Input: input, BuildTrace: true, Checkpoints: cks})
 
 	// Pick the last predicate instance: its fork has the longest prefix.
 	var plan *interp.SwitchPlan
-	for i := vmRun.Trace.Len() - 1; i >= 0; i-- {
-		e := vmRun.Trace.At(i)
+	var ck *checkpoint
+	for i := orig.Trace.Len() - 1; i >= 0; i-- {
+		e := orig.Trace.At(i)
 		if e.Branch != 0 {
 			plan = &interp.SwitchPlan{Stmt: e.Inst.Stmt, Occ: e.Inst.Occ}
+			ck = cks.Nearest(i)
 			break
 		}
 	}
-	if plan == nil {
-		t.Fatal("no predicate found")
+	if plan == nil || ck == nil {
+		t.Fatal("no forkable predicate found")
 	}
-	for _, budget := range []int{1, 5, treeRun.Steps / 2, treeRun.Steps, treeRun.Steps * 2} {
+	for _, budget := range []int{1, 5, orig.Steps / 2, ck.steps, ck.steps + 3, orig.Steps, orig.Steps * 2} {
 		opts := interp.Options{Input: input, BuildTrace: true, Switch: plan, StepBudget: budget}
-		vmFork := Backend.RunSwitchedFrom(vmCks, vmRun.Trace, c, opts)
-		treeFork := interp.Tree.RunSwitchedFrom(treeCks, treeRun.Trace, c, opts)
-		if (vmFork == nil) != (treeFork == nil) {
-			t.Fatalf("budget %d: fork availability diverges", budget)
+		fork := Backend.RunSwitchedFrom(cks, orig.Trace, c, opts)
+		if (fork == nil) != (budget <= ck.steps) {
+			t.Fatalf("budget %d: fork %v, checkpoint at step %d", budget, fork != nil, ck.steps)
 		}
-		if vmFork != nil {
-			compareResults(t, treeFork, vmFork)
+		if fork == nil {
+			continue
 		}
+		full := interp.Run(c, opts)
+		full.ResumedAt = fork.ResumedAt
+		compareResults(t, full, fork)
 	}
-	for _, polls := range []int{1, 2} {
-		opts := interp.Options{Input: input, BuildTrace: true, Switch: plan}
-		opts.Ctx = &countdownCtx{left: polls}
-		vmFork := Backend.RunSwitchedFrom(vmCks, vmRun.Trace, c, opts)
-		opts.Ctx = &countdownCtx{left: polls}
-		treeFork := interp.Tree.RunSwitchedFrom(treeCks, treeRun.Trace, c, opts)
-		if (vmFork == nil) != (treeFork == nil) {
-			t.Fatalf("polls %d: fork availability diverges", polls)
-		}
-		if vmFork != nil {
-			compareResults(t, treeFork, vmFork)
-		}
+	// One Err() call passes the fork's entry check; the second — the
+	// forced poll on the first suffix step — reports cancellation.
+	opts := interp.Options{Input: input, BuildTrace: true, Switch: plan, Ctx: &countdownCtx{left: 1}}
+	fork := Backend.RunSwitchedFrom(cks, orig.Trace, c, opts)
+	if !interp.IsCancellation(fork.Err) || fork.Steps != ck.steps+1 {
+		t.Fatalf("cancelled fork: err %v at step %d, want a cancellation at step %d", fork.Err, fork.Steps, ck.steps+1)
 	}
 }
 
@@ -559,8 +509,8 @@ func TestArtifactCaching(t *testing.T) {
 }
 
 func TestErrorMessages(t *testing.T) {
-	// Pin the exact error strings (positions included) against the tree
-	// backend for each runtime error class.
+	// Pin the exact error strings (positions included) against the
+	// tree-walking reference for each runtime error class.
 	cases := []struct {
 		name string
 		src  string
